@@ -92,7 +92,7 @@ func BenchmarkCheckpointEncode(b *testing.B) {
 		b.Run(f.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := checkpoint.Write(io.Discard, snap, f.format); err != nil {
+				if err := checkpoint.WriteValue(io.Discard, snap, f.format); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -114,19 +114,31 @@ func BenchmarkCheckpointDecode(b *testing.B) {
 	}{{"json", checkpoint.JSON}, {"binary", checkpoint.Binary}} {
 		b.Run(f.name, func(b *testing.B) {
 			var buf bytes.Buffer
-			if err := checkpoint.Write(&buf, snap, f.format); err != nil {
+			if err := checkpoint.WriteValue(&buf, snap, f.format); err != nil {
 				b.Fatal(err)
 			}
 			data := buf.Bytes()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := checkpoint.Read(bytes.NewReader(data)); err != nil {
+				if _, err := sim.ReadSnapshot(bytes.NewReader(data)); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
+}
+
+// discardCheckpoints is a single engine whose checkpoints are captured and
+// encoded but never written: the capture and encode cost without the disk.
+type discardCheckpoints struct{ *sim.Engine }
+
+func (d discardCheckpoints) SaveCheckpoint(_ string, format checkpoint.Format) error {
+	s, err := d.Snapshot()
+	if err != nil {
+		return err
+	}
+	return checkpoint.WriteValue(io.Discard, s, format)
 }
 
 // BenchmarkRunCheckpointed times a complete run that snapshots and encodes
@@ -143,8 +155,7 @@ func BenchmarkRunCheckpointed(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		save := func(s *sim.Snapshot) error { return checkpoint.Write(io.Discard, s, checkpoint.Binary) }
-		res, err := e.RunCheckpointed(context.Background(), 16, save)
+		res, err := sim.Drive(context.Background(), discardCheckpoints{e}, sim.DriveOptions{Checkpoint: "discard", Every: 16})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -26,7 +26,7 @@ import (
 	"hotpotato/internal/bound"
 	"hotpotato/internal/checkpoint"
 	"hotpotato/internal/core"
-	"hotpotato/internal/dshard"
+	"hotpotato/internal/engine"
 	"hotpotato/internal/mesh"
 	"hotpotato/internal/policylab"
 	"hotpotato/internal/shard"
@@ -169,11 +169,9 @@ func buildFaults(m *mesh.Mesh, rate, repair float64, maxDown int, crash float64,
 	return model, err
 }
 
-// report prints the summary shared by the single-engine and sharded paths.
-// extra, when non-nil, prints additional sections (the fault report) in the
-// middle of the layout.
+// report prints the run summary; faulty adds the fault report.
 func report(m *mesh.Mesh, pol sim.Policy, res *sim.Result, runErr error,
-	resumed bool, wl string, packets []*sim.Packet, ckptPath string, dim, side int, extra func()) {
+	resumed bool, wl string, packets []*sim.Packet, ckptPath string, dim, side int, faulty bool) {
 	fmt.Printf("mesh:        %v (diameter %d)\n", m, m.Diameter())
 	fmt.Printf("policy:      %s\n", pol.Name())
 	if resumed {
@@ -188,8 +186,13 @@ func report(m *mesh.Mesh, pol sim.Policy, res *sim.Result, runErr error,
 	fmt.Printf("delivered:   %d/%d\n", res.Delivered, res.Total)
 	fmt.Printf("deflections: %d (of %d hops)\n", res.TotalDeflections, res.TotalHops)
 	fmt.Printf("max load:    %d packets in one node\n", res.MaxNodeLoad)
-	if extra != nil {
-		extra()
+	if faulty {
+		fmt.Printf("faults:      %d link failures, %d node failures over the run\n",
+			res.LinkFailures, res.NodeFailures)
+		fmt.Printf("degraded:    %d dropped (%d crash, %d unreachable, %d stranded, %d at injection), %d absorbed\n",
+			res.Dropped, res.DroppedCrash, res.DroppedUnreachable, res.DroppedStranded, res.DroppedInject,
+			res.Absorbed)
+		fmt.Printf("reroutes:    %d packet-steps with no surviving good arc\n", res.Reroutes)
 	}
 	if res.Livelocked {
 		fmt.Println("LIVELOCK detected: the configuration repeated")
@@ -328,6 +331,15 @@ func runCtx(ctx context.Context, args []string) error {
 	if *arrivalsRecord != "" && ws.Arrivals == nil {
 		return fmt.Errorf("-arrivals-record needs -arrivals")
 	}
+	// The shard and dist rules, checked before any output file is created.
+	if err := (engine.Shape{
+		Dim: *dim, Workers: *workers, Shards: *shards, Dist: *dist,
+		Faults:    *faultRate > 0 || *crashRate > 0 || *faultScript != "",
+		Observers: *track || *traceOut != "" || *heatmap || *animate > 0 || *conflictTrace != "",
+		Arrivals:  ws.Arrivals != nil,
+	}).Check(); err != nil {
+		return err
+	}
 	var packets []*sim.Packet
 	if !*resume { // a resumed run takes its packets from the snapshot
 		rng := rand.New(rand.NewSource(*seed))
@@ -366,147 +378,34 @@ func runCtx(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-
-	if *shards != "" {
-		if *track || *traceOut != "" || *heatmap || *animate > 0 {
-			return fmt.Errorf("-shards cannot be combined with -track, -trace-out, -heatmap or -animate (observers see one engine's move stream)")
-		}
-		if *conflictTrace != "" {
-			return fmt.Errorf("-shards cannot be combined with -conflict-trace (the conflict tap sees one engine's move stream)")
-		}
-		if *workers > 0 {
-			return fmt.Errorf("-shards and -workers are alternative parallelization schemes; pick one")
-		}
-		if *faultRate > 0 || *crashRate > 0 || *faultScript != "" {
-			return fmt.Errorf("-shards does not support fault injection yet")
-		}
-		grid, err := shard.ParseGrid(*shards)
-		if err != nil {
-			return err
-		}
-		if *dist > 0 {
-			if *dim != 2 {
-				return fmt.Errorf("-dist needs a 2-dimensional mesh, got -d %d", *dim)
-			}
-			if src != nil {
-				return fmt.Errorf("-dist does not support -arrivals (distributed workers route a closed batch)")
-			}
-			var resumeCK *shard.Checkpoint
-			if *resume {
-				resumeCK, err = shard.LoadDir(*ckptPath)
-				if err != nil {
-					return err
-				}
-			}
-			c, err := dshard.New(dshard.Spec{
-				Side:           *side,
-				Policy:         *policy,
-				Grid:           grid,
-				Seed:           *seed + 1,
-				MaxSteps:       *maxSteps,
-				Validation:     lvl,
-				DetectLivelock: *livelock,
-			}, packets, dshard.Options{
-				Workers:          *dist,
-				Policies:         spec.NewPolicy,
-				Spawn:            dshard.InProcessSpawner(dshard.WorkerOptions{Policies: spec.NewPolicy}),
-				CheckpointEvery:  *ckptEvery,
-				CheckpointDir:    *ckptPath,
-				CheckpointFormat: format,
-				Resume:           resumeCK,
-				MaxWallTime:      *maxWall,
-			})
-			if err != nil {
-				if *resume {
-					return fmt.Errorf("resume from %s: %w (pass the same flags as the original run)", *ckptPath, err)
-				}
-				return err
-			}
-			defer c.Close()
-			if resumeCK != nil {
-				fmt.Printf("resumed:     %s at step %d, %d packets in flight\n",
-					*ckptPath, resumeCK.Manifest.Time, resumeCK.Manifest.Live)
-			}
-			res, runErr := c.Run(ctx)
-			if runErr != nil && !errors.Is(runErr, context.Canceled) {
-				return runErr
-			}
-			fmt.Printf("shards:      %s across %d loopback worker processes\n", grid, *dist)
-			report(m, pol, res, runErr, *resume, *wl, packets, *ckptPath, *dim, *side, nil)
-			return runErr
-		}
-		se, err := shard.New(m, pol, packets, shard.Options{
-			Grid:           grid,
-			Seed:           *seed + 1,
-			Validation:     lvl,
-			MaxSteps:       *maxSteps,
-			DetectLivelock: *livelock,
-			MaxWallTime:    *maxWall,
-		})
-		if err != nil {
-			return err
-		}
-		defer se.Close()
-		if src != nil {
-			se.SetInjector(src)
-		}
-		if *resume {
-			ck, err := shard.LoadDir(*ckptPath)
-			if err != nil {
-				return err
-			}
-			if err := se.Restore(ck); err != nil {
-				return fmt.Errorf("resume from %s: %w (pass the same flags as the original run)", *ckptPath, err)
-			}
-			fmt.Printf("resumed:     %s at step %d, %d packets in flight\n", *ckptPath, ck.Manifest.Time, ck.Manifest.Live)
-		}
-		var save func(*shard.Checkpoint) error
-		if *ckptPath != "" {
-			save = func(ck *shard.Checkpoint) error { return shard.SaveDir(*ckptPath, ck, format) }
-		}
-		res, runErr := se.RunCheckpointed(ctx, *ckptEvery, save)
-		if runErr != nil && !errors.Is(runErr, context.Canceled) {
-			return runErr
-		}
-		fmt.Printf("shards:      %s (%d shard goroutines)\n", grid, grid.Count())
-		report(m, pol, res, runErr, *resume, *wl, packets, *ckptPath, *dim, *side, nil)
-		if src != nil {
-			fmt.Printf("arrivals:    %d generated, %d injected, backlog %d (max %d)\n",
-				src.Generated(), src.Injected(), src.Backlog(), src.MaxBacklog())
-			if arrivalsFlush != nil {
-				if err := arrivalsFlush(); err != nil {
-					return err
-				}
-				fmt.Printf("inj trace:   written to %s\n", *arrivalsRecord)
-			}
-		}
-		return runErr
-	}
-
-	e, err := sim.New(m, pol, packets, sim.Options{
-		Seed:           *seed + 1,
-		Validation:     lvl,
-		MaxSteps:       *maxSteps,
-		DetectLivelock: *livelock,
-		Workers:        *workers,
-		MaxWallTime:    *maxWall,
-	})
-	if err != nil {
-		return err
-	}
-	if src != nil {
-		e.SetInjector(src)
-	}
 	faults, err := buildFaults(m, *faultRate, *faultRepair, *faultMaxDown, *crashRate, *faultScript)
 	if err != nil {
 		return err
 	}
+	cfg := engine.Config{
+		Mesh:           m,
+		Policy:         pol,
+		PolicySpec:     *policy,
+		Packets:        packets,
+		Seed:           *seed + 1,
+		MaxSteps:       *maxSteps,
+		Validation:     lvl,
+		DetectLivelock: *livelock,
+		Workers:        *workers,
+		Shards:         *shards,
+		Dist:           *dist,
+		Faults:         faults,
+	}
 	if faults != nil {
-		fate, err := spec.ParseFate(*faultFate)
-		if err != nil {
+		if cfg.Fate, err = spec.ParseFate(*faultFate); err != nil {
 			return err
 		}
-		e.SetFaults(faults, fate)
+	}
+	if src != nil {
+		cfg.Injector = src
+	}
+	if *resume {
+		cfg.Resume = *ckptPath
 	}
 	var conflictRec *policylab.Recorder
 	var conflictFlush func() error
@@ -524,7 +423,7 @@ func runCtx(ctx context.Context, args []string) error {
 		}
 		conflictRec = policylab.NewRecorder(0)
 		conflictRec.Spill(cw)
-		e.SetConflictObserver(conflictRec)
+		cfg.Conflicts = conflictRec
 		conflictFlush = func() error {
 			if err := cw.Flush(); err != nil {
 				f.Close()
@@ -536,12 +435,12 @@ func runCtx(ctx context.Context, args []string) error {
 	var tracker *core.Tracker
 	if *track {
 		tracker = core.NewTracker(m, packets, core.TrackerOptions{RecordSeries: *series, SelfCheckEvery: 64})
-		e.AddObserver(tracker)
+		cfg.Observers = append(cfg.Observers, tracker)
 	}
 	var recorder *trace.Recorder
 	if *traceOut != "" {
 		recorder = trace.NewRecorder(m, packets)
-		e.AddObserver(recorder)
+		cfg.Observers = append(cfg.Observers, recorder)
 	}
 	var deflections *viz.DeflectionCounter
 	if *heatmap {
@@ -549,7 +448,7 @@ func runCtx(ctx context.Context, args []string) error {
 			return fmt.Errorf("-heatmap needs a 2-dimensional mesh")
 		}
 		deflections = viz.NewDeflectionCounter(m)
-		e.AddObserver(deflections)
+		cfg.Observers = append(cfg.Observers, deflections)
 	}
 	var animator *viz.Animator
 	if *animate > 0 {
@@ -557,23 +456,26 @@ func runCtx(ctx context.Context, args []string) error {
 		if err != nil {
 			return err
 		}
-		e.AddObserver(animator)
+		cfg.Observers = append(cfg.Observers, animator)
 	}
+	e, err := engine.Build(cfg)
+	if err != nil {
+		if *resume {
+			err = fmt.Errorf("%w (pass the same flags as the original run)", err)
+		}
+		return err
+	}
+	defer e.Close()
 	if *resume {
-		snap, err := checkpoint.Load(*ckptPath)
-		if err != nil {
-			return err
-		}
-		if err := e.Restore(snap); err != nil {
-			return fmt.Errorf("resume from %s: %w (pass the same flags as the original run)", *ckptPath, err)
-		}
-		fmt.Printf("resumed:     %s at step %d, %d packets in flight\n", *ckptPath, snap.Time, len(snap.Packets))
+		p := e.Progress()
+		fmt.Printf("resumed:     %s at step %d, %d packets in flight\n", *ckptPath, p.Time, p.Live)
 	}
-	var save func(*sim.Snapshot) error
-	if *ckptPath != "" {
-		save = func(s *sim.Snapshot) error { return checkpoint.Save(*ckptPath, s, format) }
+	if *maxWall > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *maxWall)
+		defer cancel()
 	}
-	res, runErr := e.RunCheckpointed(ctx, *ckptEvery, save)
+	res, runErr := sim.Drive(ctx, e, sim.DriveOptions{Checkpoint: *ckptPath, Format: format, Every: *ckptEvery})
 	if runErr != nil && !errors.Is(runErr, context.Canceled) {
 		return runErr
 	}
@@ -606,18 +508,14 @@ func runCtx(ctx context.Context, args []string) error {
 			total, *conflictTrace, contenders, deflected, db-da)
 	}
 
-	if faults != nil {
-		report(m, pol, res, runErr, *resume, *wl, packets, *ckptPath, *dim, *side, func() {
-			fmt.Printf("faults:      %d link failures, %d node failures over the run\n",
-				res.LinkFailures, res.NodeFailures)
-			fmt.Printf("degraded:    %d dropped (%d crash, %d unreachable, %d stranded, %d at injection), %d absorbed\n",
-				res.Dropped, res.DroppedCrash, res.DroppedUnreachable, res.DroppedStranded, res.DroppedInject,
-				res.Absorbed)
-			fmt.Printf("reroutes:    %d packet-steps with no surviving good arc\n", res.Reroutes)
-		})
-	} else {
-		report(m, pol, res, runErr, *resume, *wl, packets, *ckptPath, *dim, *side, nil)
+	switch {
+	case *dist > 0:
+		fmt.Printf("shards:      %s across %d loopback worker processes\n", *shards, *dist)
+	case *shards != "":
+		grid, _ := shard.ParseGrid(*shards) // Build validated it
+		fmt.Printf("shards:      %s (%d shard goroutines)\n", grid, grid.Count())
 	}
+	report(m, pol, res, runErr, *resume, *wl, packets, *ckptPath, *dim, *side, faults != nil)
 	if src != nil {
 		fmt.Printf("arrivals:    %d generated, %d injected, backlog %d (max %d)\n",
 			src.Generated(), src.Injected(), src.Backlog(), src.MaxBacklog())

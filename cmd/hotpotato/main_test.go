@@ -391,3 +391,53 @@ func TestArrivalsFlagErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestShardDistFlagErrors: bad -shards/-dist combinations fail with the
+// daemon's admission wording instead of silently running another engine.
+func TestShardDistFlagErrors(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-dist", "2", "-n", "8"}, "dist_workers needs shards (a PxQ grid for the workers to divide)"},
+		{[]string{"-dist", "-3", "-shards", "2x1", "-n", "8"}, "dist_workers must be >= 0, got -3"},
+		{[]string{"-dist", "3", "-shards", "2x1", "-n", "8"}, "dist_workers 3 exceeds the 2x1 grid's 2 shards"},
+		{[]string{"-dist", "2", "-shards", "2x1", "-n", "8", "-arrivals", "poisson:rate=0.05,until=20"},
+			"distributed jobs do not support arrivals"},
+		{[]string{"-shards", "2x1", "-d", "3", "-n", "4"}, "shards needs dim 2"},
+		{[]string{"-shards", "2x1", "-n", "8", "-workers", "2"}, "shards and workers are alternative parallelization schemes"},
+		{[]string{"-shards", "2x1", "-n", "8", "-fault-rate", "0.01"}, "sharded jobs do not support fault injection"},
+		{[]string{"-shards", "2x1", "-n", "8", "-track"}, "sharded jobs do not support observers"},
+	}
+	for _, tc := range cases {
+		_, err := capture(t, func() error { return run(tc.args) })
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("args %v: err = %v, want %q", tc.args, err, tc.want)
+		}
+	}
+}
+
+// TestRunShardedAndDistributed: the sharded and distributed engines report
+// the single engine's outcome (with -workers, whose per-node tie-break
+// streams the sharded engines share).
+func TestRunShardedAndDistributed(t *testing.T) {
+	base := []string{"-n", "8", "-k", "40", "-seed", "4"}
+	single, err := capture(t, func() error { return run(append([]string{"-workers", "2"}, base...)) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, extra := range [][]string{{"-shards", "2x2"}, {"-shards", "2x2", "-dist", "2"}} {
+		out, err := capture(t, func() error { return run(append(extra, base...)) })
+		if err != nil {
+			t.Fatalf("%v: %v", extra, err)
+		}
+		if !strings.Contains(out, "shards:      2x2") {
+			t.Errorf("%v: no shards line:\n%s", extra, out)
+		}
+		for _, line := range []string{"steps:", "delivered:", "deflections:", "max load:"} {
+			if want, got := lineWith(t, single, line), lineWith(t, out, line); want != got {
+				t.Errorf("%v: %s\nsingle: %s\ngot:    %s", extra, line, want, got)
+			}
+		}
+	}
+}

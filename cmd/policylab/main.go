@@ -166,11 +166,7 @@ func runTrace(args []string) error {
 			break
 		}
 		if *ckpt != "" && e.Time() == *ckptAt {
-			snap, err := e.Snapshot()
-			if err != nil {
-				return err
-			}
-			if err := checkpoint.Save(*ckpt, snap, checkpoint.Binary); err != nil {
+			if err := e.SaveCheckpoint(*ckpt, checkpoint.Binary); err != nil {
 				return err
 			}
 			fmt.Printf("checkpoint:  step %d, %d in flight -> %s\n", e.Time(), e.Live(), *ckpt)
@@ -290,7 +286,7 @@ func runCounterfactual(args []string) error {
 	if *ckpt == "" {
 		return fmt.Errorf("-checkpoint is required")
 	}
-	snap, err := checkpoint.Load(*ckpt)
+	snap, err := sim.LoadSnapshot(*ckpt)
 	if err != nil {
 		return err
 	}

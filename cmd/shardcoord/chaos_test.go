@@ -195,7 +195,6 @@ func TestDistChaosSIGKILL(t *testing.T) {
 	defer c.Close()
 
 	var stepEvents atomic.Int64
-	c.StepHook = func(t, live int) { stepEvents.Add(1) }
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -226,7 +225,7 @@ func TestDistChaosSIGKILL(t *testing.T) {
 		killErr <- nil
 	}()
 
-	res, runErr := c.Run(ctx)
+	res, runErr := sim.Drive(ctx, c, sim.DriveOptions{OnStep: func(sim.Progress) { stepEvents.Add(1) }})
 	if err := <-killErr; err != nil {
 		t.Fatal(err)
 	}

@@ -197,10 +197,7 @@ func run(ctx context.Context, args []string, out *os.File) error {
 		RejoinTimeout:    *rejoinTimeout,
 		MaxRecoveries:    *maxRecover,
 		CheckpointEvery:  *ckptEvery,
-		CheckpointDir:    *ckptPath,
-		CheckpointFormat: format,
 		Resume:           resumeCK,
-		MaxWallTime:      *maxWall,
 	}
 	if *workerBin != "" {
 		opts.Spawn = execSpawner(*workerBin, *token, *quiet, strings.Fields(*workerArgs))
@@ -222,7 +219,18 @@ func run(ctx context.Context, args []string, out *os.File) error {
 			*ckptPath, resumeCK.Manifest.Time, resumeCK.Manifest.Live)
 	}
 
-	res, runErr := c.Run(ctx)
+	if *maxWall > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *maxWall)
+		defer cancel()
+	}
+	// Checkpoints are saved (and become rollback points) at the rollback
+	// cadence, and on an early stop.
+	every := *ckptEvery
+	if every <= 0 {
+		every = dshard.DefaultCheckpointEvery
+	}
+	res, runErr := sim.Drive(ctx, c, sim.DriveOptions{Checkpoint: *ckptPath, Format: format, Every: every})
 	if runErr != nil && !errors.Is(runErr, context.Canceled) {
 		return runErr
 	}

@@ -31,11 +31,11 @@ import (
 	"syscall"
 
 	"hotpotato/internal/analysis"
+	"hotpotato/internal/engine"
 	"hotpotato/internal/fault"
 	"hotpotato/internal/mesh"
 	"hotpotato/internal/profiling"
 	runner "hotpotato/internal/run"
-	"hotpotato/internal/shard"
 	"hotpotato/internal/sim"
 	"hotpotato/internal/spec"
 	"hotpotato/internal/stats"
@@ -199,26 +199,16 @@ func runCtx(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	if *shardsFlag != "" {
-		// Fail the whole sweep up front rather than erroring every cell: the
-		// sharded engine is 2-D only and does not compose with the tracker,
-		// in-engine workers, or fault injection (see analysis.TrialSpec).
-		if _, err := shard.ParseGrid(*shardsFlag); err != nil {
-			return err
-		}
-		switch {
-		case *dim != 2:
-			return errors.New("-shards needs -d 2 (the sharded engine decomposes 2-D meshes)")
-		case *track:
-			return errors.New("-shards and -track are mutually exclusive")
-		case *engineWorkers != 0:
-			return errors.New("-shards and -workers are alternative parallelization schemes; pick one")
-		}
-		for _, frate := range faultRates {
-			if frate != 0 {
-				return errors.New("-shards does not support fault injection (-fault-rate)")
-			}
-		}
+	// Fail the whole sweep up front rather than erroring every cell, with
+	// the shard rules every surface shares (see analysis.TrialSpec).
+	faulty := false
+	for _, frate := range faultRates {
+		faulty = faulty || frate != 0
+	}
+	if err := (engine.Shape{
+		Dim: *dim, Workers: *engineWorkers, Shards: *shardsFlag, Faults: faulty, Observers: *track,
+	}).Check(); err != nil {
+		return err
 	}
 
 	lvl := sim.ValidateGreedy

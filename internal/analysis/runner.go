@@ -1,12 +1,13 @@
 package analysis
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
 	"hotpotato/internal/core"
+	"hotpotato/internal/engine"
 	"hotpotato/internal/mesh"
-	"hotpotato/internal/shard"
 	"hotpotato/internal/sim"
 )
 
@@ -85,43 +86,44 @@ func RunTrial(spec TrialSpec) (*TrialResult, error) {
 	if validation == sim.ValidateOff {
 		validation = sim.ValidateGreedy
 	}
-	if spec.Shards != "" {
-		return runShardedTrial(spec, packets, validation)
-	}
-	e, err := sim.New(spec.Mesh, spec.NewPolicy(), packets, sim.Options{
+	cfg := engine.Config{
+		Mesh:           spec.Mesh,
+		Policy:         spec.NewPolicy(),
+		Packets:        packets,
 		Seed:           spec.Seed + 1,
 		Validation:     validation,
 		MaxSteps:       spec.MaxSteps,
 		DetectLivelock: spec.DetectLivelock,
 		Workers:        spec.Workers,
-	})
-	if err != nil {
-		return nil, err
+		Shards:         spec.Shards,
+		Fate:           spec.FaultFate,
 	}
 	if spec.NewFaults != nil {
-		e.SetFaults(spec.NewFaults(), spec.FaultFate)
+		cfg.Faults = spec.NewFaults()
 	}
 	if spec.NewInjector != nil {
 		if spec.Track {
 			return nil, fmt.Errorf("analysis: trials cannot combine NewInjector with Track (the tracker reconstructs runs from the initial batch)")
 		}
-		inj, err := spec.NewInjector()
-		if err != nil {
+		if cfg.Injector, err = spec.NewInjector(); err != nil {
 			return nil, fmt.Errorf("analysis: injector: %w", err)
 		}
-		e.SetInjector(inj)
 	}
-	tr := &TrialResult{Packets: packets}
 	var tracker *core.Tracker
 	if spec.Track {
 		tracker = core.NewTracker(spec.Mesh, packets, core.TrackerOptions{SelfCheckEvery: 64})
-		e.AddObserver(tracker)
+		cfg.Observers = []sim.Observer{tracker}
 	}
-	res, err := e.Run()
+	e, err := engine.Build(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("analysis: %w", err)
+	}
+	defer e.Close()
+	res, err := sim.Drive(context.Background(), e, sim.DriveOptions{})
 	if err != nil {
 		return nil, err
 	}
-	tr.Result = res
+	tr := &TrialResult{Packets: packets, Result: res}
 	for _, p := range packets {
 		if d := spec.Mesh.Dist(p.Src, p.Dst); d > tr.DMax {
 			tr.DMax = d
@@ -133,54 +135,6 @@ func RunTrial(spec TrialSpec) (*TrialResult, error) {
 		tr.MinSpare = tracker.MinSpare()
 		tr.MinPhi = tracker.MinPhi()
 		tr.Tracker = tracker
-	}
-	return tr, nil
-}
-
-// runShardedTrial is RunTrial's sharded-engine path: same seeds, same
-// summary, computed by the spatially-decomposed engine. The outcome is
-// bit-identical to the single engine's (internal/shard's parity contract),
-// so sharded sweep cells are directly comparable to unsharded ones.
-func runShardedTrial(spec TrialSpec, packets []*sim.Packet, validation sim.ValidationLevel) (*TrialResult, error) {
-	switch {
-	case spec.Track:
-		return nil, fmt.Errorf("analysis: sharded trials cannot attach the potential tracker (observers see one engine's move stream)")
-	case spec.NewFaults != nil:
-		return nil, fmt.Errorf("analysis: sharded trials do not support fault injection")
-	case spec.Workers != 0:
-		return nil, fmt.Errorf("analysis: Shards and Workers are alternative parallelization schemes; pick one")
-	}
-	grid, err := shard.ParseGrid(spec.Shards)
-	if err != nil {
-		return nil, err
-	}
-	e, err := shard.New(spec.Mesh, spec.NewPolicy(), packets, shard.Options{
-		Grid:           grid,
-		Seed:           spec.Seed + 1,
-		Validation:     validation,
-		MaxSteps:       spec.MaxSteps,
-		DetectLivelock: spec.DetectLivelock,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer e.Close()
-	if spec.NewInjector != nil {
-		inj, err := spec.NewInjector()
-		if err != nil {
-			return nil, fmt.Errorf("analysis: injector: %w", err)
-		}
-		e.SetInjector(inj)
-	}
-	res, err := e.Run()
-	if err != nil {
-		return nil, err
-	}
-	tr := &TrialResult{Packets: packets, Result: res}
-	for _, p := range packets {
-		if d := spec.Mesh.Dist(p.Src, p.Dst); d > tr.DMax {
-			tr.DMax = d
-		}
 	}
 	return tr, nil
 }

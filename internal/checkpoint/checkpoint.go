@@ -1,23 +1,22 @@
-// Package checkpoint persists checkpoint values — engine snapshots
-// (sim.Snapshot) and, via the generic WriteValue/ReadValue pair, any other
-// serializable run state such as the sharded engine's per-shard files — as
-// versioned checkpoint files, so long runs survive crashes and signals: the
-// state is captured between steps, written atomically, and restored
-// bit-identically on resume (see sim.Engine.Snapshot/Restore for the parity
-// contract).
+// Package checkpoint persists checkpoint values as versioned checkpoint
+// files, so long runs survive crashes and signals: the state is captured
+// between steps, written atomically, and restored bit-identically on resume.
+// Engine snapshots go through sim.Engine.SaveCheckpoint and
+// sim.LoadSnapshot; the sharded engine's per-shard files and manifests use
+// the same envelope.
 //
 // The container format is a fixed header — magic "HPCK", one format byte,
 // a little-endian uint32 container version, a little-endian uint32 IEEE
-// CRC of the payload — followed by the encoded snapshot. Two payload
+// CRC of the payload — followed by the encoded value. Two payload
 // encodings exist: JSON (debuggable, diffable, the default for files
 // humans may inspect) and binary (gob; smaller and faster for high-
-// frequency checkpointing). Read sniffs the format from the header, so
-// callers never need to know which encoding produced a file.
+// frequency checkpointing). ReadValue sniffs the format from the header,
+// so callers never need to know which encoding produced a file.
 //
-// The container version covers the envelope; the snapshot's own schema
-// version rides inside the payload and is enforced by sim.Engine.Restore.
-// Both are checked on load, so a checkpoint from a future build fails
-// loudly instead of restoring garbage.
+// The container version covers the envelope; a value's own schema version
+// rides inside the payload and is the caller's to enforce (sim.ReadSnapshot
+// checks sim.SnapshotVersion). Both are checked on load, so a checkpoint
+// from a future build fails loudly instead of restoring garbage.
 package checkpoint
 
 import (
@@ -31,8 +30,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-
-	"hotpotato/internal/sim"
 )
 
 // Version is the container-format version written into every checkpoint.
@@ -60,7 +57,7 @@ var ErrBadFile = errors.New("checkpoint: not a valid checkpoint file")
 // envelope. The envelope authenticates the container (magic, format byte,
 // container version, payload CRC); any schema versioning of the value
 // itself rides inside the payload and is the caller's contract — exactly
-// how Read enforces sim.SnapshotVersion for engine snapshots.
+// how sim.ReadSnapshot enforces sim.SnapshotVersion for engine snapshots.
 func WriteValue(w io.Writer, v any, format Format) error {
 	var payload bytes.Buffer
 	switch format {
@@ -169,41 +166,4 @@ func LoadValue(path string, v any) error {
 		return fmt.Errorf("%s: %w", path, err)
 	}
 	return nil
-}
-
-// Write encodes the engine snapshot into w in the given format.
-func Write(w io.Writer, s *sim.Snapshot, format Format) error {
-	return WriteValue(w, s, format)
-}
-
-// Read decodes an engine snapshot produced by Write, additionally enforcing
-// the snapshot's own schema version.
-func Read(r io.Reader) (*sim.Snapshot, error) {
-	s := &sim.Snapshot{}
-	if err := ReadValue(r, s); err != nil {
-		return nil, err
-	}
-	if s.Version > sim.SnapshotVersion {
-		return nil, fmt.Errorf("%w: snapshot schema v%d, this build reads up to v%d", ErrBadFile, s.Version, sim.SnapshotVersion)
-	}
-	return s, nil
-}
-
-// Save writes the engine snapshot to path atomically (see SaveValue).
-func Save(path string, s *sim.Snapshot, format Format) error {
-	return SaveValue(path, s, format)
-}
-
-// Load reads a checkpoint file written by Save (either format).
-func Load(path string) (*sim.Snapshot, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	defer f.Close()
-	s, err := Read(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return s, nil
 }

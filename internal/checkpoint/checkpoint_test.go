@@ -1,4 +1,4 @@
-package checkpoint
+package checkpoint_test
 
 import (
 	"bytes"
@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"hotpotato/internal/checkpoint"
 	"hotpotato/internal/mesh"
 	"hotpotato/internal/routing"
 	"hotpotato/internal/sim"
@@ -46,13 +47,13 @@ func midRunSnapshot(t *testing.T) (*sim.Snapshot, uint64, *mesh.Mesh, sim.Option
 // restored engine lands on the snapshotted state hash.
 func TestRoundTripFormats(t *testing.T) {
 	snap, hash, m, opts := midRunSnapshot(t)
-	for _, format := range []Format{JSON, Binary} {
+	for _, format := range []checkpoint.Format{checkpoint.JSON, checkpoint.Binary} {
 		t.Run(string(rune(format)), func(t *testing.T) {
 			var buf bytes.Buffer
-			if err := Write(&buf, snap, format); err != nil {
+			if err := checkpoint.WriteValue(&buf, snap, format); err != nil {
 				t.Fatal(err)
 			}
-			got, err := Read(&buf)
+			got, err := sim.ReadSnapshot(&buf)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,10 +80,10 @@ func TestSaveLoadAtomic(t *testing.T) {
 	snap, _, _, _ := midRunSnapshot(t)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.ckpt")
-	if err := Save(path, snap, Binary); err != nil {
+	if err := checkpoint.SaveValue(path, snap, checkpoint.Binary); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(path)
+	got, err := sim.LoadSnapshot(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,10 +91,10 @@ func TestSaveLoadAtomic(t *testing.T) {
 		t.Fatal("Save/Load changed the snapshot")
 	}
 	// Overwrite with the other format; Load must sniff it.
-	if err := Save(path, snap, JSON); err != nil {
+	if err := checkpoint.SaveValue(path, snap, checkpoint.JSON); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(path); err != nil {
+	if _, err := sim.LoadSnapshot(path); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)
@@ -110,7 +111,7 @@ func TestSaveLoadAtomic(t *testing.T) {
 func TestReadRejectsCorruption(t *testing.T) {
 	snap, _, _, _ := midRunSnapshot(t)
 	var buf bytes.Buffer
-	if err := Write(&buf, snap, Binary); err != nil {
+	if err := checkpoint.WriteValue(&buf, snap, checkpoint.Binary); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
@@ -131,8 +132,8 @@ func TestReadRejectsCorruption(t *testing.T) {
 	}
 	for name, data := range cases {
 		t.Run(name, func(t *testing.T) {
-			if _, err := Read(bytes.NewReader(data)); !errors.Is(err, ErrBadFile) {
-				t.Errorf("Read(%s) err = %v, want ErrBadFile", name, err)
+			if _, err := sim.ReadSnapshot(bytes.NewReader(data)); !errors.Is(err, checkpoint.ErrBadFile) {
+				t.Errorf("sim.ReadSnapshot(%s) err = %v, want checkpoint.ErrBadFile", name, err)
 			}
 		})
 	}
@@ -140,7 +141,7 @@ func TestReadRejectsCorruption(t *testing.T) {
 
 // TestLoadMissingFile: a missing path surfaces the os error, not a panic.
 func TestLoadMissingFile(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "nope.ckpt")); err == nil {
+	if _, err := sim.LoadSnapshot(filepath.Join(t.TempDir(), "nope.ckpt")); err == nil {
 		t.Fatal("Load of missing file succeeded")
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"net"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hotpotato/internal/checkpoint"
@@ -85,21 +84,17 @@ type Options struct {
 	// aborts).
 	MaxRecoveries int
 
-	// CheckpointEvery is the rollback/save cadence in steps (default 256).
-	// CheckpointDir, when set, additionally persists each checkpoint with
-	// shard.SaveDir — the directory interoperates with the in-process
-	// engine's (a distributed run can resume an Engine checkpoint and vice
-	// versa). CheckpointFormat defaults to checkpoint.Binary.
-	CheckpointEvery  int
-	CheckpointDir    string
-	CheckpointFormat checkpoint.Format
+	// CheckpointEvery is the rollback cadence in steps (default
+	// DefaultCheckpointEvery): Step captures a coordinated checkpoint in
+	// memory once this many steps have passed without one. Every
+	// SaveCheckpoint also becomes the rollback point, so a run saving at
+	// this cadence (sim.DriveOptions.Every) captures nothing extra.
+	CheckpointEvery int
 	// Resume, when non-nil, starts the run from a coordinated checkpoint
 	// instead of an initial packet population. Grid-flexible: the
 	// checkpoint's grid need not match Spec.Grid.
 	Resume *shard.Checkpoint
 
-	// MaxWallTime bounds Run's wall-clock duration; 0 means no limit.
-	MaxWallTime time.Duration
 	// MaxFrame caps inbound frame payloads; <= 0 means DefaultMaxFrame.
 	MaxFrame int
 	// Logf, when non-nil, receives one line per notable event (worker
@@ -113,11 +108,14 @@ type Options struct {
 // on first crash".
 const DefaultMaxRecoveries = 8
 
+// DefaultCheckpointEvery is the rollback cadence when
+// Options.CheckpointEvery is zero.
+const DefaultCheckpointEvery = 256
+
 const (
 	defaultStepTimeout      = 10 * time.Second
 	defaultHeartbeatTimeout = 2 * time.Second
 	defaultRejoinTimeout    = 15 * time.Second
-	defaultCheckpointEvery  = 256
 )
 
 // Failure classification sentinels for one phase exchange.
@@ -196,17 +194,16 @@ type Coordinator struct {
 	reroutes         int64
 	maxNodeLoad      int
 	recoveries       int
-	deadlineExceeded bool
 	finalized        []sim.PacketState
 
-	lastCK    *shard.Checkpoint
-	finalHash uint64
+	// lastCK is the last coordinated capture — the rollback point, and the
+	// state StateHash reports — taken sinceCK steps ago.
+	lastCK  *shard.Checkpoint
+	sinceCK int
 
-	// StepHook, when set before Run, is called after every completed step
-	// with the new time and live count. HashHook additionally receives each
-	// step's global state hash (livelock detection must be on) — the
-	// lockstep parity tests ride on it.
-	StepHook func(t, live int)
+	// HashHook, when set before Run, receives each step's global state hash
+	// (livelock detection must be on) — the lockstep parity tests ride on
+	// it.
 	HashHook func(t int, h uint64)
 
 	shutdownOnce sync.Once
@@ -281,10 +278,7 @@ func New(spec Spec, packets []*sim.Packet, opts Options) (*Coordinator, error) {
 		opts.MaxRecoveries = 0
 	}
 	if opts.CheckpointEvery <= 0 {
-		opts.CheckpointEvery = defaultCheckpointEvery
-	}
-	if opts.CheckpointFormat == 0 {
-		opts.CheckpointFormat = checkpoint.Binary
+		opts.CheckpointEvery = DefaultCheckpointEvery
 	}
 	if opts.Listen == "" {
 		opts.Listen = "127.0.0.1:0"
@@ -365,11 +359,11 @@ func (c *Coordinator) Progress() sim.Progress {
 	}
 }
 
-// StateHash returns the final configuration hash, bit-identical to the
-// equivalent single engine's StateHash at the same point — valid once Run
-// has returned (the coordinator captures it from the workers' final
-// checkpoint parts before shutting them down).
-func (c *Coordinator) StateHash() uint64 { return c.finalHash }
+// StateHash returns the configuration hash of the last coordinated capture,
+// bit-identical to the equivalent single engine's StateHash at that point.
+// A run captures its final state when it ends, when it saves, and when it
+// stops early (see Result), so the hash is current once sim.Drive returns.
+func (c *Coordinator) StateHash() uint64 { return c.foldParts(c.lastCK.Parts) }
 
 // admit validates the initial packets and builds the t=0 coordinated
 // checkpoint — recovery's permanent floor: a worker killed on the very
@@ -491,7 +485,6 @@ func (c *Coordinator) restoreState(m *shard.Manifest) {
 	c.totalHops = m.TotalHops
 	c.maxNodeLoad = m.MaxNodeLoad
 	c.reroutes = m.Reroutes
-	c.deadlineExceeded = false
 	c.finalized = append(c.finalized[:0], m.Finalized...)
 	if c.livelockable {
 		c.seen = make(map[uint64]int, len(m.Seen))
@@ -944,10 +937,6 @@ func (c *Coordinator) foldParts(parts []shard.ShardPart) uint64 {
 
 // ----- run loop ----------------------------------------------------------
 
-func (c *Coordinator) runnable() bool {
-	return c.live > 0 && !c.livelock && c.time < c.spec.MaxSteps
-}
-
 // step drives one barrier: route everywhere, regroup the egress buckets by
 // receiving worker, apply everywhere, then fold the applied reports into
 // the global state. Any failure leaves the global state untouched — the
@@ -993,9 +982,6 @@ func (c *Coordinator) step() []workerFailure {
 				blocks[b.Shard] = b.Words
 			}
 		}
-	}
-	if c.StepHook != nil {
-		c.StepHook(c.time, c.live)
 	}
 	if c.livelockable && c.live > 0 {
 		h := c.foldBlocks(blocks)
@@ -1084,32 +1070,38 @@ func (c *Coordinator) recoverFrom(fails []workerFailure) error {
 	}
 }
 
-// Run executes the distributed run to completion: spawn/await the workers,
-// distribute the initial (or resumed) state, drive the step barrier with
-// periodic coordinated checkpoints, recover from worker failures, capture
-// the final state hash, and shut the workers down. The Result contract is
-// sim's, exactly as for shard.Engine.
-func (c *Coordinator) Run(ctx context.Context) (*sim.Result, error) {
-	defer c.Close()
-
-	var stop atomic.Bool
-	if c.opts.MaxWallTime > 0 {
-		timer := time.AfterFunc(c.opts.MaxWallTime, func() { stop.Store(true) })
-		defer timer.Stop()
+// Step drives one step barrier across the workers, bringing the fleet up
+// and distributing the initial (or resumed) state on the first call. A
+// worker failure rolls every worker back to the last coordinated checkpoint
+// (Step then returns nil with the clock moved back); only an exhausted
+// recovery budget or a deterministic worker error surfaces. The step that
+// ends the run also captures the final state, so StateHash is current; a
+// worker lost during that capture rolls back and the run continues.
+func (c *Coordinator) Step() error {
+	if c.epoch == 0 {
+		if err := c.start(); err != nil {
+			return err
+		}
 	}
-	if done := ctx.Done(); done != nil {
-		quit := make(chan struct{})
-		defer close(quit)
-		go func() {
-			select {
-			case <-done:
-				stop.Store(true)
-			case <-quit:
-			}
-		}()
+	if c.sinceCK >= c.opts.CheckpointEvery {
+		if _, err := c.capture(); err != nil {
+			return err
+		}
 	}
+	if fails := c.step(); len(fails) > 0 {
+		c.sinceCK = 0
+		return c.recoverFrom(fails)
+	}
+	c.sinceCK++
+	if !c.Runnable() {
+		_, err := c.capture()
+		return err
+	}
+	return nil
+}
 
-	// Bring up the fleet and distribute the starting state.
+// start spawns or awaits the workers and loads the starting state.
+func (c *Coordinator) start() error {
 	slots := make([]int, len(c.workers))
 	assign := make(map[int]bool, len(c.workers))
 	for i := range slots {
@@ -1118,101 +1110,75 @@ func (c *Coordinator) Run(ctx context.Context) (*sim.Result, error) {
 	}
 	c.epoch = 1
 	if err := c.ensureWorkers(slots); err != nil {
-		return nil, err
+		return err
 	}
 	if fails := c.phaseLoad(c.lastCK, assign); len(fails) > 0 {
+		return c.recoverFrom(fails)
+	}
+	return nil
+}
+
+// capture makes the current state the coordinated checkpoint lastCK,
+// collecting the workers' parts unless it already is. A worker failure
+// rolls back to the previous capture and retries there.
+func (c *Coordinator) capture() (*shard.Checkpoint, error) {
+	for c.epoch > 0 && c.lastCK.Manifest.Time != c.time {
+		ck, fails := c.collectCheckpoint()
+		if len(fails) == 0 {
+			c.lastCK, c.sinceCK = ck, 0
+			break
+		}
 		if err := c.recoverFrom(fails); err != nil {
 			return nil, err
 		}
+		c.sinceCK = 0
 	}
-
-	wrote := false
-	save := func(ck *shard.Checkpoint) error {
-		if c.opts.CheckpointDir == "" {
-			return nil
-		}
-		if err := shard.SaveDir(c.opts.CheckpointDir, ck, c.opts.CheckpointFormat); err != nil {
-			return err
-		}
-		wrote = true
-		return nil
-	}
-	sinceCK, sinceDisk := 0, 0
-	var runErr error
-	for {
-		for c.runnable() && !stop.Load() {
-			if fails := c.step(); len(fails) > 0 {
-				if err := c.recoverFrom(fails); err != nil {
-					return nil, err
-				}
-				sinceCK = 0
-				continue
-			}
-			sinceCK++
-			sinceDisk++
-			if sinceCK >= c.opts.CheckpointEvery {
-				ck, fails := c.collectCheckpoint()
-				if len(fails) > 0 {
-					if err := c.recoverFrom(fails); err != nil {
-						return nil, err
-					}
-					sinceCK = 0
-					continue
-				}
-				if err := save(ck); err != nil {
-					return nil, fmt.Errorf("dshard: checkpoint save: %w", err)
-				}
-				c.lastCK = ck
-				sinceCK, sinceDisk = 0, 0
-			}
-		}
-		runErr = nil
-		if c.runnable() { // stopped early: resolve the cause
-			if err := ctx.Err(); errors.Is(err, context.Canceled) {
-				runErr = err
-			} else {
-				c.deadlineExceeded = true
-			}
-		}
-		// Capture the final state: the run's state hash (for parity and
-		// fingerprinting) and, when stopping early with unsaved progress,
-		// the resume checkpoint. A worker dying between the last step and
-		// this capture must not lose the run either: recover and loop back
-		// — the rollback reopens the step loop, which re-runs to the end.
-		ck, fails := c.collectCheckpoint()
-		if len(fails) == 0 {
-			c.finalHash = c.foldParts(ck.Parts)
-			// An early stop persists its progress; even one cancelled before
-			// the first step saves the initial state — that is the job itself.
-			if c.runnable() && (sinceDisk > 0 || !wrote) {
-				if err := save(ck); err != nil && runErr == nil {
-					runErr = fmt.Errorf("dshard: final checkpoint save: %w", err)
-				}
-			}
-			break
-		}
-		if err := c.recoverFrom(fails); err != nil {
-			c.logf("coordinator: final state capture failed: %v", err)
-			break
-		}
-		sinceCK = 0
-	}
-	c.shutdownWorkers()
-	return c.result(), runErr
+	return c.lastCK, nil
 }
 
-func (c *Coordinator) result() *sim.Result {
+// SaveCheckpoint captures a coordinated checkpoint (see capture) and writes
+// it to dir with shard.SaveDir — the same directory format as the
+// in-process engine, so either resumes the other's checkpoints.
+func (c *Coordinator) SaveCheckpoint(dir string, format checkpoint.Format) error {
+	ck, err := c.capture()
+	if err != nil {
+		return err
+	}
+	return shard.SaveDir(dir, ck, format)
+}
+
+// Runnable reports whether the run has steps left.
+func (c *Coordinator) Runnable() bool {
+	return c.live > 0 && !c.livelock && c.time < c.spec.MaxSteps
+}
+
+// Run executes the distributed run to completion with sim.Drive and shuts
+// the workers down. The Result contract is sim's, exactly as for
+// shard.Engine.
+func (c *Coordinator) Run(ctx context.Context) (*sim.Result, error) {
+	defer c.Close()
+	return sim.Drive(ctx, c, sim.DriveOptions{})
+}
+
+// Result summarizes the run so far. After an early stop it first captures
+// the workers' state (best effort: a failure leaves the previous capture),
+// so StateHash reports where the run stopped.
+func (c *Coordinator) Result() *sim.Result {
+	if c.epoch > 0 && c.lastCK.Manifest.Time != c.time {
+		if ck, fails := c.collectCheckpoint(); len(fails) == 0 {
+			c.lastCK, c.sinceCK = ck, 0
+		}
+	}
 	return &sim.Result{
 		Steps:            c.lastArrival,
 		Delivered:        c.total - c.live,
 		Total:            c.total,
 		Livelocked:       c.livelock,
-		HitMaxSteps:      c.live > 0 && !c.livelock && !c.deadlineExceeded && c.time >= c.spec.MaxSteps,
+		HitMaxSteps:      c.live > 0 && !c.livelock && c.time >= c.spec.MaxSteps,
 		TotalDeflections: c.totalDeflections,
 		TotalHops:        c.totalHops,
 		MaxNodeLoad:      c.maxNodeLoad,
 		Reroutes:         c.reroutes,
-		DeadlineExceeded: c.deadlineExceeded,
 	}
 }
 

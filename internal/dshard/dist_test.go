@@ -118,15 +118,22 @@ func distOptions(workers int) dshard.Options {
 	}
 }
 
-// checkAgainst wires a coordinator's hooks to compare every step against
-// the reference trace. Returns a func to call after Run for the final
-// comparison.
-func checkAgainst(t *testing.T, c *dshard.Coordinator, tr *trace) func(res *sim.Result) {
+// drive runs c to its end like Coordinator.Run, calling onStep after every
+// step.
+func drive(ctx context.Context, c *dshard.Coordinator, onStep func(sim.Progress)) (*sim.Result, error) {
+	defer c.Close()
+	return sim.Drive(ctx, c, sim.DriveOptions{OnStep: onStep})
+}
+
+// checkAgainst wires a coordinator's hash hook to compare every step against
+// the reference trace. Returns the per-step callback to drive it with, and a
+// func to call after the run for the final comparison.
+func checkAgainst(t *testing.T, c *dshard.Coordinator, tr *trace) (func(sim.Progress), func(res *sim.Result)) {
 	t.Helper()
 	var mismatches atomic.Int32
-	c.StepHook = func(step, live int) {
-		if want, ok := tr.lives[step]; ok && live != want && mismatches.Add(1) <= 5 {
-			t.Errorf("step %d: live %d, reference %d", step, live, want)
+	onStep := func(p sim.Progress) {
+		if want, ok := tr.lives[p.Time]; ok && p.Live != want && mismatches.Add(1) <= 5 {
+			t.Errorf("step %d: live %d, reference %d", p.Time, p.Live, want)
 		}
 	}
 	c.HashHook = func(step int, h uint64) {
@@ -141,7 +148,7 @@ func checkAgainst(t *testing.T, c *dshard.Coordinator, tr *trace) func(res *sim.
 			t.Errorf("step %d: state hash diverged: distributed %#x, reference %#x", step, h, want)
 		}
 	}
-	return func(res *sim.Result) {
+	return onStep, func(res *sim.Result) {
 		t.Helper()
 		rr := tr.result
 		if res.Steps != rr.Steps || res.Delivered != rr.Delivered || res.Total != rr.Total ||
@@ -195,8 +202,8 @@ func TestDistributedParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("dshard.New: %v", err)
 			}
-			final := checkAgainst(t, c, tr)
-			res, err := c.Run(context.Background())
+			onStep, final := checkAgainst(t, c, tr)
+			res, err := drive(context.Background(), c, onStep)
 			if err != nil {
 				t.Fatalf("distributed run: %v", err)
 			}
@@ -228,8 +235,8 @@ func TestDistributedLivelockParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	final := checkAgainst(t, c, tr)
-	res, err := c.Run(context.Background())
+	onStep, final := checkAgainst(t, c, tr)
+	res, err := drive(context.Background(), c, onStep)
 	if err != nil {
 		t.Fatalf("distributed run: %v", err)
 	}
@@ -302,16 +309,15 @@ func TestDistributedKillRejoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	final := checkAgainst(t, c, tr)
+	inner, final := checkAgainst(t, c, tr)
 
 	// The killer waits for three completed steps of forward progress, then
 	// kills a worker — so every kill lands on a healthy, advancing fleet
 	// and each must force its own recovery.
 	var stepEvents atomic.Int64
-	inner := c.StepHook
-	c.StepHook = func(step, live int) {
+	onStep := func(p sim.Progress) {
 		stepEvents.Add(1)
-		inner(step, live)
+		inner(p)
 	}
 	done := make(chan struct{})
 	go func() {
@@ -331,7 +337,7 @@ func TestDistributedKillRejoin(t *testing.T) {
 		}
 	}()
 
-	res, err := c.Run(context.Background())
+	res, err := drive(context.Background(), c, onStep)
 	<-done
 	if err != nil {
 		t.Fatalf("distributed run with kills: %v", err)
@@ -364,8 +370,8 @@ func TestDistributedTransportFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	final := checkAgainst(t, c, tr)
-	res, err := c.Run(context.Background())
+	onStep, final := checkAgainst(t, c, tr)
+	res, err := drive(context.Background(), c, onStep)
 	if err != nil {
 		t.Fatalf("run under transport faults: %v", err)
 	}
@@ -408,8 +414,8 @@ func TestDistributedCorruptFrameRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	final := checkAgainst(t, c, tr)
-	res, err := c.Run(context.Background())
+	onStep, final := checkAgainst(t, c, tr)
+	res, err := drive(context.Background(), c, onStep)
 	if err != nil {
 		t.Fatalf("run with corrupt frames: %v", err)
 	}
@@ -440,7 +446,6 @@ func TestDistributedResumeAcrossGrids(t *testing.T) {
 		Token: opts.Token, Policies: testPolicies,
 		TestHookPreRoute: func(int) { time.Sleep(5 * time.Millisecond) },
 	})
-	opts.CheckpointDir = dir
 	opts.CheckpointEvery = 2
 	sp := dshard.Spec{
 		Side: side, Wrap: true, Policy: "random", Grid: shard.Grid{P: 2, Q: 2},
@@ -451,12 +456,13 @@ func TestDistributedResumeAcrossGrids(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	c1.StepHook = func(step, live int) {
-		if step >= 4 {
+	_, err = sim.Drive(ctx, c1, sim.DriveOptions{Checkpoint: dir, Every: 2, OnStep: func(p sim.Progress) {
+		if p.Time >= 4 {
 			cancel()
 		}
-	}
-	if _, err := c1.Run(ctx); !errors.Is(err, context.Canceled) {
+	}})
+	c1.Close()
+	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("phase 1: err %v, want context.Canceled", err)
 	}
 	if c1.Time() < 4 {
@@ -477,8 +483,8 @@ func TestDistributedResumeAcrossGrids(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
-	final := checkAgainst(t, c2, tr)
-	res, err := c2.Run(context.Background())
+	onStep, final := checkAgainst(t, c2, tr)
+	res, err := drive(context.Background(), c2, onStep)
 	if err != nil {
 		t.Fatalf("phase 2: %v", err)
 	}
@@ -513,7 +519,6 @@ func TestDistributedDegenerateGridRestore(t *testing.T) {
 		Token: opts.Token, Policies: testPolicies,
 		TestHookPreRoute: func(int) { time.Sleep(5 * time.Millisecond) },
 	})
-	opts.CheckpointDir = dir
 	opts.CheckpointEvery = 2
 	sp := dshard.Spec{
 		Side: side, Wrap: true, Policy: "random", Grid: shard.Grid{P: 2, Q: 2},
@@ -524,12 +529,13 @@ func TestDistributedDegenerateGridRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	c1.StepHook = func(step, live int) {
-		if step >= 4 {
+	_, err = sim.Drive(ctx, c1, sim.DriveOptions{Checkpoint: dir, Every: 2, OnStep: func(p sim.Progress) {
+		if p.Time >= 4 {
 			cancel()
 		}
-	}
-	if _, err := c1.Run(ctx); !errors.Is(err, context.Canceled) {
+	}})
+	c1.Close()
+	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("phase 1: err %v, want context.Canceled", err)
 	}
 
@@ -557,8 +563,8 @@ func TestDistributedDegenerateGridRestore(t *testing.T) {
 			if err != nil {
 				t.Fatalf("resume on %s: %v", tc.grid, err)
 			}
-			final := checkAgainst(t, c2, tr)
-			res, err := c2.Run(context.Background())
+			onStep, final := checkAgainst(t, c2, tr)
+			res, err := drive(context.Background(), c2, onStep)
 			if err != nil {
 				t.Fatalf("resumed run on %s under faults: %v", tc.grid, err)
 			}

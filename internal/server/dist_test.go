@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"hotpotato/internal/spec"
 )
 
 // TestDistributedJobLifecycle runs the same routing problem as a distributed
@@ -73,6 +75,35 @@ func TestDistributedJobRejects(t *testing.T) {
 		resp, _ := postJob(t, ts, spec)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: POST = %d, want 400", name, resp.StatusCode)
+		}
+	}
+}
+
+// TestShardAdmissionMessages pins the exact admission errors of the shared
+// shard/dist rules (internal/engine.Shape), which the CLIs reuse verbatim.
+func TestShardAdmissionMessages(t *testing.T) {
+	fault := &spec.FaultConfig{Rate: 0.01}
+	arrivals, err := spec.ParseArrivalSpec("poisson:rate=0.1,until=10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		js   JobSpec
+		want string
+	}{
+		{JobSpec{DistWorkers: -1, Shards: "2x2"}, "dist_workers must be >= 0, got -1"},
+		{JobSpec{DistWorkers: 2}, "dist_workers needs shards (a PxQ grid for the workers to divide)"},
+		{JobSpec{Dim: 3, Side: 4, Shards: "2x2"}, "shards needs dim 2 (the sharded engine decomposes 2-D meshes), got dim 3"},
+		{JobSpec{Shards: "2x2", Workers: 2}, "shards and workers are alternative parallelization schemes; pick one"},
+		{JobSpec{Shards: "2x2", Fault: fault}, "sharded jobs do not support fault injection"},
+		{JobSpec{Shards: "2x2", DistWorkers: 5}, "dist_workers 5 exceeds the 2x2 grid's 4 shards"},
+		{JobSpec{Shards: "2x2", DistWorkers: 2, Workload: spec.WorkloadSpec{Name: "none", Arrivals: arrivals}},
+			"distributed jobs do not support arrivals (injector state cannot ride a dshard checkpoint)"},
+	}
+	for _, tc := range cases {
+		err := tc.js.withDefaults().validate(1<<20, 1<<20)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%+v: err = %v, want %q", tc.js, err, tc.want)
 		}
 	}
 }

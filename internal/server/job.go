@@ -8,10 +8,8 @@ import (
 	"sync"
 	"time"
 
-	"hotpotato/internal/checkpoint"
-	"hotpotato/internal/dshard"
+	"hotpotato/internal/engine"
 	"hotpotato/internal/mesh"
-	"hotpotato/internal/shard"
 	"hotpotato/internal/sim"
 	"hotpotato/internal/spec"
 )
@@ -168,27 +166,8 @@ func (js JobSpec) validate(maxNodes, maxK int) error {
 	if js.Workers < 0 {
 		return fmt.Errorf("workers must be >= 0, got %d", js.Workers)
 	}
-	if js.DistWorkers < 0 {
-		return fmt.Errorf("dist_workers must be >= 0, got %d", js.DistWorkers)
-	}
-	if js.DistWorkers > 0 && js.Shards == "" {
-		return fmt.Errorf("dist_workers needs shards (a PxQ grid for the workers to divide)")
-	}
-	if js.Shards != "" {
-		grid, err := shard.ParseGrid(js.Shards)
-		if err != nil {
-			return err
-		}
-		switch {
-		case js.Dim != 2:
-			return fmt.Errorf("shards needs dim 2 (the sharded engine decomposes 2-D meshes), got dim %d", js.Dim)
-		case js.Workers != 0:
-			return fmt.Errorf("shards and workers are alternative parallelization schemes; pick one")
-		case js.Fault != nil && js.Fault.Enabled():
-			return fmt.Errorf("sharded jobs do not support fault injection")
-		case js.DistWorkers > grid.Count():
-			return fmt.Errorf("dist_workers %d exceeds the %s grid's %d shards", js.DistWorkers, js.Shards, grid.Count())
-		}
+	if err := js.shape().Check(); err != nil {
+		return err
 	}
 	if js.ProgressEvery < 1 {
 		return fmt.Errorf("progress_every must be >= 1, got %d", js.ProgressEvery)
@@ -205,13 +184,8 @@ func (js JobSpec) validate(maxNodes, maxK int) error {
 	if err := js.Workload.Validate(); err != nil {
 		return err
 	}
-	if as := js.Workload.Arrivals; as != nil {
-		if js.DistWorkers > 0 {
-			return fmt.Errorf("distributed jobs do not support arrivals (injector state cannot ride a dshard checkpoint)")
-		}
-		if js.MaxSteps == 0 && !as.Bounded() {
-			return fmt.Errorf("arrival jobs must terminate: set max_steps or give every arrival client a positive until")
-		}
+	if as := js.Workload.Arrivals; as != nil && js.MaxSteps == 0 && !as.Bounded() {
+		return fmt.Errorf("arrival jobs must terminate: set max_steps or give every arrival client a positive until")
 	}
 	if _, err := spec.ParseValidation(js.Validation); err != nil {
 		return err
@@ -227,9 +201,23 @@ func (js JobSpec) validate(maxNodes, maxK int) error {
 	return nil
 }
 
-// buildEngine materializes the spec into a ready-to-run engine. Each call
-// builds a fresh engine (retried attempts must not share mutable state).
-func (js JobSpec) buildEngine(jobTimeout time.Duration) (*sim.Engine, error) {
+// shape is the spec's engine shape, for the shared shard/dist rules.
+func (js JobSpec) shape() engine.Shape {
+	return engine.Shape{
+		Dim:      js.Dim,
+		Workers:  js.Workers,
+		Shards:   js.Shards,
+		Dist:     js.DistWorkers,
+		Faults:   js.Fault != nil && js.Fault.Enabled(),
+		Arrivals: js.Workload.Arrivals != nil,
+	}
+}
+
+// build materializes the spec into a ready-to-run engine: single, sharded
+// or distributed over loopback workers, as the spec's shape selects. Each
+// call builds a fresh engine (retried attempts must not share mutable
+// state).
+func (js JobSpec) build() (sim.Stepper, error) {
 	var m *mesh.Mesh
 	var err error
 	if js.Torus {
@@ -248,191 +236,45 @@ func (js JobSpec) buildEngine(jobTimeout time.Duration) (*sim.Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	var packets []*sim.Packet
-	if js.ResumeFrom == "" { // a resumed job takes its packets from the snapshot
-		packets, err = spec.BuildWorkload(js.Workload, m, js.K, rand.New(rand.NewSource(js.Seed)))
-		if err != nil {
-			return nil, err
-		}
-	}
-	e, err := sim.New(m, pol, packets, sim.Options{
+	cfg := engine.Config{
+		Mesh:           m,
+		Policy:         pol,
+		PolicySpec:     js.Policy,
 		Seed:           js.Seed + 1,
 		MaxSteps:       js.MaxSteps,
 		Validation:     lvl,
 		DetectLivelock: !js.NoLivelockDetect,
 		Workers:        js.Workers,
-		MaxWallTime:    jobTimeout,
-	})
-	if err != nil {
-		return nil, err
+		Shards:         js.Shards,
+		Dist:           js.DistWorkers,
+		Resume:         js.ResumeFrom,
+	}
+	if js.ResumeFrom == "" { // a resumed job takes its packets from the checkpoint
+		cfg.Packets, err = spec.BuildWorkload(js.Workload, m, js.K, rand.New(rand.NewSource(js.Seed)))
+		if err != nil {
+			return nil, err
+		}
 	}
 	if js.Fault != nil && js.Fault.Enabled() {
-		model, err := spec.NewFaults(m, *js.Fault)
-		if err != nil {
+		if cfg.Faults, err = spec.NewFaults(m, *js.Fault); err != nil {
 			return nil, err
 		}
-		fate, err := spec.ParseFate(js.Fault.Fate)
-		if err != nil {
+		if cfg.Fate, err = spec.ParseFate(js.Fault.Fate); err != nil {
 			return nil, err
 		}
-		e.SetFaults(model, fate)
 	}
-	// The injection source is installed even on resume — the snapshot then
-	// restores its state, keeping the resumed run bit-identical.
+	// The injection source is installed even on resume — the checkpoint
+	// then restores its state, keeping the resumed run bit-identical.
 	if src, err := spec.BuildArrivals(js.Workload.Arrivals, m); err != nil {
 		return nil, err
 	} else if src != nil {
-		e.SetInjector(src)
+		cfg.Injector = src
 	}
-	if js.ResumeFrom != "" {
-		snap, err := checkpoint.Load(js.ResumeFrom)
-		if err != nil {
-			return nil, err
-		}
-		if err := e.Restore(snap); err != nil {
-			return nil, fmt.Errorf("resume from %s: %w (the spec must match the checkpointed run)", js.ResumeFrom, err)
-		}
-	}
-	return e, nil
-}
-
-// buildShardEngine is buildEngine's counterpart for sharded jobs: it
-// materializes the spec into a ready-to-run shard.Engine. Validation has
-// already confirmed the spec is 2-D, fault-free and parses as a grid.
-func (js JobSpec) buildShardEngine(jobTimeout time.Duration) (*shard.Engine, error) {
-	var m *mesh.Mesh
-	var err error
-	if js.Torus {
-		m, err = mesh.NewTorus(js.Dim, js.Side)
-	} else {
-		m, err = mesh.New(js.Dim, js.Side)
-	}
-	if err != nil {
-		return nil, err
-	}
-	pol, err := spec.NewPolicy(js.Policy)
-	if err != nil {
-		return nil, err
-	}
-	lvl, err := spec.ParseValidation(js.Validation)
-	if err != nil {
-		return nil, err
-	}
-	grid, err := shard.ParseGrid(js.Shards)
-	if err != nil {
-		return nil, err
-	}
-	var packets []*sim.Packet
-	if js.ResumeFrom == "" { // a resumed job takes its packets from the snapshot
-		packets, err = spec.BuildWorkload(js.Workload, m, js.K, rand.New(rand.NewSource(js.Seed)))
-		if err != nil {
-			return nil, err
-		}
-	}
-	e, err := shard.New(m, pol, packets, shard.Options{
-		Grid:           grid,
-		Seed:           js.Seed + 1,
-		MaxSteps:       js.MaxSteps,
-		Validation:     lvl,
-		DetectLivelock: !js.NoLivelockDetect,
-		MaxWallTime:    jobTimeout,
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Injector before Restore, matching buildEngine: the manifest carries
-	// the source's state and the restore re-seeds it.
-	if src, err := spec.BuildArrivals(js.Workload.Arrivals, m); err != nil {
-		e.Close()
-		return nil, err
-	} else if src != nil {
-		e.SetInjector(src)
-	}
-	if js.ResumeFrom != "" {
-		ck, err := shard.LoadDir(js.ResumeFrom)
-		if err != nil {
-			return nil, err
-		}
-		if err := e.Restore(ck); err != nil {
-			e.Close()
-			return nil, fmt.Errorf("resume from %s: %w (the spec must match the checkpointed run)", js.ResumeFrom, err)
-		}
-	}
-	return e, nil
-}
-
-// distToken is the shared secret between a job's coordinator and its
-// in-process workers. The loopback listener is per-job and ephemeral, so the
-// token guards against cross-talk (a stray worker from another run), not
-// against an adversary.
-const distToken = "hotpotatod-dist"
-
-// buildCoordinator materializes a distributed spec (Shards plus
-// DistWorkers) into a dshard coordinator driving DistWorkers in-process
-// workers over loopback TCP. ckptDir, when non-empty, is where coordinated
-// checkpoints are persisted (same .shards directory format as the
-// in-process sharded engine); ckptEvery is the rollback/save cadence (0 =
-// the coordinator's default).
-func (js JobSpec) buildCoordinator(jobTimeout time.Duration, ckptDir string, ckptEvery int) (*dshard.Coordinator, error) {
-	if js.Workload.Arrivals != nil {
-		// Validation rejects this at admission; guard the recovery path too.
-		return nil, fmt.Errorf("distributed jobs do not support arrivals")
-	}
-	var m *mesh.Mesh
-	var err error
-	if js.Torus {
-		m, err = mesh.NewTorus(js.Dim, js.Side)
-	} else {
-		m, err = mesh.New(js.Dim, js.Side)
-	}
-	if err != nil {
-		return nil, err
-	}
-	grid, err := shard.ParseGrid(js.Shards)
-	if err != nil {
-		return nil, err
-	}
-	lvl, err := spec.ParseValidation(js.Validation)
-	if err != nil {
-		return nil, err
-	}
-	var packets []*sim.Packet
-	var resume *shard.Checkpoint
-	if js.ResumeFrom == "" { // a resumed job takes its packets from the snapshot
-		packets, err = spec.BuildWorkload(js.Workload, m, js.K, rand.New(rand.NewSource(js.Seed)))
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		resume, err = shard.LoadDir(js.ResumeFrom)
-		if err != nil {
-			return nil, err
-		}
-	}
-	c, err := dshard.New(dshard.Spec{
-		Side:           js.Side,
-		Wrap:           js.Torus,
-		Policy:         js.Policy,
-		Grid:           grid,
-		Seed:           js.Seed + 1,
-		MaxSteps:       js.MaxSteps,
-		Validation:     lvl,
-		DetectLivelock: !js.NoLivelockDetect,
-	}, packets, dshard.Options{
-		Workers:          js.DistWorkers,
-		Token:            distToken,
-		Policies:         spec.NewPolicy,
-		Spawn:            dshard.InProcessSpawner(dshard.WorkerOptions{Token: distToken, Policies: spec.NewPolicy}),
-		CheckpointEvery:  ckptEvery,
-		CheckpointDir:    ckptDir,
-		CheckpointFormat: checkpoint.Binary,
-		Resume:           resume,
-		MaxWallTime:      jobTimeout,
-	})
+	e, err := engine.Build(cfg)
 	if err != nil && js.ResumeFrom != "" {
-		return nil, fmt.Errorf("resume from %s: %w (the spec must match the checkpointed run)", js.ResumeFrom, err)
+		return nil, fmt.Errorf("%w (the spec must match the checkpointed run)", err)
 	}
-	return c, err
+	return e, err
 }
 
 // JobState is the lifecycle position of a job.

@@ -39,19 +39,17 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"hotpotato/internal/checkpoint"
+	"hotpotato/internal/engine"
 	"hotpotato/internal/rng"
 	"hotpotato/internal/run"
 	"hotpotato/internal/server/metrics"
 	"hotpotato/internal/server/store"
-	"hotpotato/internal/shard"
 	"hotpotato/internal/sim"
 	"hotpotato/internal/spec"
 )
@@ -64,14 +62,15 @@ type Config struct {
 	// Workers is the number of jobs executed concurrently. Default 2.
 	Workers int
 	// JobTimeout bounds one job attempt's wall clock. It is enforced as the
-	// engine's MaxWallTime, so a timed-out job stops between steps and
+	// run's context deadline, so a timed-out job stops between steps and
 	// checkpoints like a drained one; a job stuck inside a single policy
 	// call is abandoned by the supervisor at 2x this budget. 0 = unlimited.
 	JobTimeout time.Duration
 	// MaxAttempts caps attempts per job (retry on failure). Default 1.
 	MaxAttempts int
 	// CheckpointDir, when set, is where drained or timed-out jobs save
-	// their engine state ("<dir>/<jobID>.hpck"). Empty disables
+	// their engine state ("<dir>/<jobID>.hpck", or a "<jobID>.shards"
+	// directory for sharded and distributed jobs). Empty disables
 	// checkpointing: a drained job is then recorded as failed.
 	CheckpointDir string
 	// CheckpointEvery, when > 0 (and CheckpointDir is set), additionally
@@ -306,16 +305,8 @@ func (s *Server) adoptRecovery(rec *store.Recovery) {
 			s.logf("job %s QUARANTINED at recovery (%d prior start(s))", j.ID, jr.Starts)
 		default:
 			if s.cfg.CheckpointDir != "" {
-				if j.Spec.Shards != "" {
-					dir := filepath.Join(s.cfg.CheckpointDir, j.ID+".shards")
-					if shard.HasCheckpoint(dir) {
-						j.Spec.ResumeFrom = dir
-					}
-				} else {
-					path := filepath.Join(s.cfg.CheckpointDir, j.ID+".hpck")
-					if _, err := os.Stat(path); err == nil {
-						j.Spec.ResumeFrom = path
-					}
+				if path := engine.CheckpointPath(s.cfg.CheckpointDir, j.ID, j.Spec.Shards); engine.HasCheckpoint(path) {
+					j.Spec.ResumeFrom = path
 				}
 			}
 			s.recovered.Inc()
@@ -668,7 +659,7 @@ func (s *Server) execute(j *Job) {
 		Seed:        j.Spec.Seed,
 	}
 	if s.cfg.JobTimeout > 0 {
-		// The engine's MaxWallTime (set in runJob) is the graceful bound;
+		// The run's context deadline (set in runJob) is the graceful bound;
 		// the supervisor's attempt timeout is the backstop for a job stuck
 		// inside a single policy call.
 		opts.CellTimeout = 2 * s.cfg.JobTimeout
@@ -739,79 +730,72 @@ func (s *Server) execute(j *Job) {
 		if s.cfg.CheckpointDir != "" {
 			// A finished job's periodic checkpoint is stale — it must not
 			// shadow a future job or confuse recovery's resume probe.
-			os.Remove(filepath.Join(s.cfg.CheckpointDir, j.ID+".hpck")) //nolint:errcheck
-			if j.Spec.Shards != "" {
-				os.RemoveAll(filepath.Join(s.cfg.CheckpointDir, j.ID+".shards")) //nolint:errcheck
-			}
+			os.RemoveAll(engine.CheckpointPath(s.cfg.CheckpointDir, j.ID, j.Spec.Shards)) //nolint:errcheck
 		}
 		s.logf("job %s done: %d/%d delivered in %d steps",
 			j.ID, out.Result.Delivered, out.Result.Total, out.Result.Steps)
 	}
 }
 
-// runJob is one supervised attempt: build the engine, wire observers,
-// run until completion, drain-cancel, or deadline.
+// runJob is one supervised attempt: build the job's engine (single,
+// sharded or distributed — see internal/engine), then drive it to
+// completion, drain-cancel or timeout, publishing progress epochs and
+// checkpointing into CheckpointDir.
 func (s *Server) runJob(actx context.Context, j *Job, attempt int) (json.RawMessage, error) {
-	if j.Spec.Shards != "" {
-		if j.Spec.DistWorkers > 0 {
-			return s.runDistributedJob(actx, j, attempt)
-		}
-		return s.runShardedJob(actx, j, attempt)
-	}
-	e, err := j.Spec.buildEngine(s.cfg.JobTimeout)
+	e, err := j.Spec.build()
 	if err != nil {
 		return nil, err
 	}
 	defer e.Close()
 
-	// The run stops on whichever fires first: the attempt's backstop
-	// deadline (actx), or drain deciding that running jobs must checkpoint.
-	ctx, cancel := context.WithCancel(actx)
+	// The run stops on whichever fires first: the job timeout (a deadline,
+	// so the job checkpoints as timed out), the attempt's backstop deadline
+	// (actx), or drain deciding that running jobs must checkpoint.
+	var ctx context.Context
+	var cancel context.CancelFunc
+	if s.cfg.JobTimeout > 0 {
+		ctx, cancel = context.WithTimeout(actx, s.cfg.JobTimeout)
+	} else {
+		ctx, cancel = context.WithCancel(actx)
+	}
 	defer cancel()
 	stop := context.AfterFunc(s.jobCtx, cancel)
 	defer stop()
 
-	// Progress epochs: publish to stream followers, update status and the
-	// shared step counters. Step latency is sampled per step.
+	// Per step: the latency histogram and step counter; every
+	// ProgressEvery steps a progress epoch for status and stream followers;
+	// then the demo pacing delay.
 	last := time.Now()
-	e.AddObserver(sim.ObserverFunc(func(*sim.StepRecord) {
+	sinceEpoch := 0
+	delay := time.Duration(j.Spec.StepDelay)
+	opts := sim.DriveOptions{OnStep: func(p sim.Progress) {
 		now := time.Now()
 		s.stepLatency.Observe(now.Sub(last).Seconds())
 		last = now
 		s.stepsTotal.Inc()
-	}))
-	e.AddObserver(sim.NewProgressSampler(e, j.Spec.ProgressEvery, func(p sim.Progress) {
-		j.setProgress(p)
-		s.publishProgress(j, attempt, p)
-	}))
-	if d := time.Duration(j.Spec.StepDelay); d > 0 {
-		e.AddObserver(sim.ObserverFunc(func(*sim.StepRecord) { time.Sleep(d) }))
-	}
-
-	// Checkpoint sink: used when the run stops early, and — with
-	// CheckpointEvery > 0 — periodically mid-run, so a hard crash resumes
-	// from the last saved epoch instead of step zero. checkpoint.Save is
-	// atomic (temp+rename), so a crash mid-save leaves the previous
-	// checkpoint intact.
-	saved := ""
-	every := 0
-	var save func(*sim.Snapshot) error
-	if s.cfg.CheckpointDir != "" {
-		every = s.cfg.CheckpointEvery
-		path := filepath.Join(s.cfg.CheckpointDir, j.ID+".hpck")
-		save = func(snap *sim.Snapshot) error {
-			if err := checkpoint.Save(path, snap, checkpoint.Binary); err != nil {
-				return err
-			}
-			saved = path
-			return nil
+		if sinceEpoch++; sinceEpoch >= j.Spec.ProgressEvery {
+			sinceEpoch = 0
+			j.setProgress(p)
+			s.publishProgress(j, attempt, p)
 		}
+		if delay > 0 {
+			time.Sleep(delay)
+		}
+	}}
+	// Checkpoints go to CheckpointDir/<id>.hpck (single engine) or
+	// <id>.shards (sharded and distributed): on every early stop and —
+	// with CheckpointEvery > 0 — periodically mid-run, so a hard crash
+	// resumes from the last saved epoch instead of step zero. Both formats
+	// commit atomically, so a crash mid-save leaves the previous one intact.
+	if s.cfg.CheckpointDir != "" {
+		opts.Checkpoint = engine.CheckpointPath(s.cfg.CheckpointDir, j.ID, j.Spec.Shards)
+		opts.Every = s.cfg.CheckpointEvery
 	}
 
 	started := time.Now()
-	res, runErr := e.RunCheckpointed(ctx, every, save)
+	res, runErr := sim.Drive(ctx, e, opts)
 	if runErr != nil && !errors.Is(runErr, context.Canceled) {
-		return nil, runErr // validation failure, policy panic, checkpoint I/O
+		return nil, runErr // validation failure, panic, lost run, checkpoint I/O
 	}
 	elapsed := time.Since(started)
 
@@ -826,189 +810,15 @@ func (s *Server) runJob(actx context.Context, j *Job, attempt int) (json.RawMess
 	switch {
 	case runErr != nil: // context.Canceled: drain or backstop
 		out.Canceled = true
-		if save != nil && saved == "" {
-			// Cancelled before the first step: RunCheckpointed had no
-			// unsaved progress to flush, but the initial state is still
-			// worth keeping — it is the job itself.
-			snap, err := e.Snapshot()
-			if err != nil {
-				return nil, err
-			}
-			if err := save(snap); err != nil {
-				return nil, err
-			}
-		}
 	case res.DeadlineExceeded:
 		out.TimedOut = true
 	default:
 		out.FinalHash = resultFingerprint(e, final)
 	}
-	out.Checkpointed = saved != "" && (out.Canceled || out.TimedOut)
-	out.Checkpoint = saved
-	return json.Marshal(out)
-}
-
-// runShardedJob is runJob's counterpart for specs with Shards set: the same
-// supervision contract (progress epochs, drain-cancel, periodic
-// checkpoints, final-state fingerprint) driven through the sharded engine,
-// which reports through StepHook instead of observers. A sharded checkpoint
-// is a directory — one part per shard plus a manifest — at
-// CheckpointDir/<id>.shards, and resume_from takes such a directory.
-func (s *Server) runShardedJob(actx context.Context, j *Job, attempt int) (json.RawMessage, error) {
-	e, err := j.Spec.buildShardEngine(s.cfg.JobTimeout)
-	if err != nil {
-		return nil, err
-	}
-	defer e.Close()
-
-	ctx, cancel := context.WithCancel(actx)
-	defer cancel()
-	stop := context.AfterFunc(s.jobCtx, cancel)
-	defer stop()
-
-	last := time.Now()
-	sinceEpoch := 0
-	delay := time.Duration(j.Spec.StepDelay)
-	e.StepHook = func(int, int) {
-		now := time.Now()
-		s.stepLatency.Observe(now.Sub(last).Seconds())
-		last = now
-		s.stepsTotal.Inc()
-		if sinceEpoch++; sinceEpoch >= j.Spec.ProgressEvery {
-			sinceEpoch = 0
-			p := e.Progress()
-			j.setProgress(p)
-			s.publishProgress(j, attempt, p)
-		}
-		if delay > 0 {
-			time.Sleep(delay)
-		}
-	}
-
-	saved := ""
-	every := 0
-	var save func(*shard.Checkpoint) error
-	if s.cfg.CheckpointDir != "" {
-		every = s.cfg.CheckpointEvery
-		dir := filepath.Join(s.cfg.CheckpointDir, j.ID+".shards")
-		save = func(ck *shard.Checkpoint) error {
-			if err := shard.SaveDir(dir, ck, checkpoint.Binary); err != nil {
-				return err
-			}
-			saved = dir
-			return nil
-		}
-	}
-
-	started := time.Now()
-	res, runErr := e.RunCheckpointed(ctx, every, save)
-	if runErr != nil && !errors.Is(runErr, context.Canceled) {
-		return nil, runErr // validation failure, shard panic, checkpoint I/O
-	}
-	elapsed := time.Since(started)
-
-	final := e.Progress()
-	j.setProgress(final)
-	s.publishProgress(j, attempt, final)
-	if elapsed > 0 && final.Time > 0 {
-		s.stepsPerSec.Observe(float64(final.Time) / elapsed.Seconds())
-	}
-
-	out := jobOutcome{Result: res, Steps: final.Time}
-	switch {
-	case runErr != nil: // context.Canceled: drain or backstop
-		out.Canceled = true
-		if save != nil && saved == "" {
-			// Cancelled before the first step: keep the initial state, it is
-			// the job itself (mirroring the single-engine path).
-			ck, err := e.Checkpoint()
-			if err != nil {
-				return nil, err
-			}
-			if err := save(ck); err != nil {
-				return nil, err
-			}
-		}
-	case res.DeadlineExceeded:
-		out.TimedOut = true
-	default:
-		out.FinalHash = resultFingerprint(e, final)
-	}
-	out.Checkpointed = saved != "" && (out.Canceled || out.TimedOut)
-	out.Checkpoint = saved
-	return json.Marshal(out)
-}
-
-// runDistributedJob is the execution path for specs with DistWorkers set:
-// the job runs on the dshard coordinator with DistWorkers in-process worker
-// processes over loopback TCP, under the same supervision contract as the
-// other paths. The coordinator persists its own coordinated checkpoints
-// (same .shards directory as the sharded path, so recovery and resume_from
-// interoperate across all three engines) and survives worker failures
-// internally by rolling back to the last one.
-func (s *Server) runDistributedJob(actx context.Context, j *Job, attempt int) (json.RawMessage, error) {
-	dir := ""
-	if s.cfg.CheckpointDir != "" {
-		dir = filepath.Join(s.cfg.CheckpointDir, j.ID+".shards")
-	}
-	c, err := j.Spec.buildCoordinator(s.cfg.JobTimeout, dir, s.cfg.CheckpointEvery)
-	if err != nil {
-		return nil, err
-	}
-	defer c.Close()
-
-	ctx, cancel := context.WithCancel(actx)
-	defer cancel()
-	stop := context.AfterFunc(s.jobCtx, cancel)
-	defer stop()
-
-	last := time.Now()
-	sinceEpoch := 0
-	delay := time.Duration(j.Spec.StepDelay)
-	c.StepHook = func(int, int) {
-		now := time.Now()
-		s.stepLatency.Observe(now.Sub(last).Seconds())
-		last = now
-		s.stepsTotal.Inc()
-		if sinceEpoch++; sinceEpoch >= j.Spec.ProgressEvery {
-			sinceEpoch = 0
-			p := c.Progress()
-			j.setProgress(p)
-			s.publishProgress(j, attempt, p)
-		}
-		if delay > 0 {
-			time.Sleep(delay)
-		}
-	}
-
-	started := time.Now()
-	res, runErr := c.Run(ctx)
-	if runErr != nil && !errors.Is(runErr, context.Canceled) {
-		return nil, runErr // run lost past the recovery budget, fatal worker error, save I/O
-	}
-	elapsed := time.Since(started)
-
-	final := c.Progress()
-	j.setProgress(final)
-	s.publishProgress(j, attempt, final)
-	if elapsed > 0 && final.Time > 0 {
-		s.stepsPerSec.Observe(float64(final.Time) / elapsed.Seconds())
-	}
-
-	out := jobOutcome{Result: res, Steps: final.Time}
-	switch {
-	case runErr != nil: // context.Canceled: drain or backstop
-		out.Canceled = true
-	case res.DeadlineExceeded:
-		out.TimedOut = true
-	default:
-		out.FinalHash = resultFingerprint(c, final)
-	}
-	// The coordinator saves on every early stop itself (including before the
-	// first step), so a committed checkpoint on disk is the whole test.
-	if dir != "" && (out.Canceled || out.TimedOut) && shard.HasCheckpoint(dir) {
+	// An early stop with a destination always leaves a checkpoint (Drive).
+	if opts.Checkpoint != "" && (out.Canceled || out.TimedOut) {
 		out.Checkpointed = true
-		out.Checkpoint = dir
+		out.Checkpoint = opts.Checkpoint
 	}
 	return json.Marshal(out)
 }

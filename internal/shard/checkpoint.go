@@ -277,7 +277,6 @@ func (e *Engine) loadCheckpoint(ck *Checkpoint) error {
 	e.totalHops = m.TotalHops
 	e.maxNodeLoad = m.MaxNodeLoad
 	e.reroutes = m.Reroutes
-	e.deadlineExceeded = false
 	if e.livelockable {
 		e.seen = make(map[uint64]int, len(m.Seen))
 		for _, sn := range m.Seen {

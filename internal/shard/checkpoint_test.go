@@ -174,11 +174,30 @@ func TestSaveDirLoadDir(t *testing.T) {
 	}
 }
 
+// killingSaves is a sharded engine whose third checkpoint save commits and
+// then fails, like a process killed right after it.
+type killingSaves struct {
+	*shard.Engine
+	saves int
+	err   error
+}
+
+func (k *killingSaves) SaveCheckpoint(dest string, format checkpoint.Format) error {
+	if err := k.Engine.SaveCheckpoint(dest, format); err != nil {
+		return err
+	}
+	if k.saves++; k.saves == 3 {
+		return k.err
+	}
+	return nil
+}
+
 // TestRunCheckpointedKillResume emulates a SIGKILL mid-run: the run dies
-// abruptly after its third periodic save (the save hook returns an error,
-// so — like a killed process — nothing after the last committed checkpoint
-// survives), a second engine loads the directory and resumes, and the
-// combined run must match the uninterrupted one exactly.
+// abruptly after its third periodic save (the save returns an error, so —
+// like a killed process — nothing after the last committed checkpoint
+// survives, and the driver must abort with that error), a second engine
+// loads the directory and resumes, and the combined run must match the
+// uninterrupted one exactly.
 func TestRunCheckpointedKillResume(t *testing.T) {
 	m, pkts := testProblem(t, 13)
 	opts := shard.Options{Grid: shard.Grid{P: 2, Q: 2}, Seed: 13, MaxSteps: 3000}
@@ -191,19 +210,8 @@ func TestRunCheckpointedKillResume(t *testing.T) {
 
 	dir := t.TempDir()
 	errKilled := errors.New("killed")
-	saves := 0
-	killingSave := func(ck *shard.Checkpoint) error {
-		if err := shard.SaveDir(dir, ck, checkpoint.Binary); err != nil {
-			return err
-		}
-		if saves++; saves == 3 {
-			return errKilled
-		}
-		return nil
-	}
-
-	killed := mustShard(t, m, clonePackets(pkts), opts)
-	if _, err := killed.RunCheckpointed(context.Background(), 2, killingSave); !errors.Is(err, errKilled) {
+	killed := &killingSaves{Engine: mustShard(t, m, clonePackets(pkts), opts), err: errKilled}
+	if _, err := sim.Drive(context.Background(), killed, sim.DriveOptions{Checkpoint: dir, Every: 2}); !errors.Is(err, errKilled) {
 		t.Fatalf("killed run: err = %v, want errKilled", err)
 	}
 
@@ -218,8 +226,7 @@ func TestRunCheckpointedKillResume(t *testing.T) {
 	if err := resumed.Restore(ck); err != nil {
 		t.Fatal(err)
 	}
-	save := func(ck *shard.Checkpoint) error { return shard.SaveDir(dir, ck, checkpoint.Binary) }
-	got, err := resumed.RunCheckpointed(context.Background(), 2, save)
+	got, err := sim.Drive(context.Background(), resumed, sim.DriveOptions{Checkpoint: dir, Every: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +235,7 @@ func TestRunCheckpointedKillResume(t *testing.T) {
 
 // TestRunCheckpointedCancel checks cooperative cancellation on a run that
 // can never terminate on its own (the bouncer policy delivers nothing):
-// RunCheckpointed must come back with context.Canceled and a final saved
+// the driver must come back with context.Canceled and a final saved
 // checkpoint covering all completed steps.
 func TestRunCheckpointedCancel(t *testing.T) {
 	m := mesh.MustNewTorus(2, 4)
@@ -242,14 +249,13 @@ func TestRunCheckpointedCancel(t *testing.T) {
 	defer e.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	e.StepHook = func(tstep, live int) {
-		if tstep == 50 {
+	dir := t.TempDir()
+	_, err = sim.Drive(ctx, e, sim.DriveOptions{Checkpoint: dir, Every: 1000, OnStep: func(p sim.Progress) {
+		if p.Time == 50 {
 			cancel()
 		}
-	}
-	dir := t.TempDir()
-	save := func(ck *shard.Checkpoint) error { return shard.SaveDir(dir, ck, checkpoint.Binary) }
-	if _, err := e.RunCheckpointed(ctx, 1000, save); !errors.Is(err, context.Canceled) {
+	}})
+	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	ck, err := shard.LoadDir(dir)
@@ -302,7 +308,7 @@ func TestShardPanicRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	got, err := e.RunCheckpointed(context.Background(), 0, nil)
+	got, err := e.Run()
 	if err != nil {
 		t.Fatalf("recovered run: %v", err)
 	}

@@ -9,9 +9,8 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
-	"time"
 
+	"hotpotato/internal/checkpoint"
 	"hotpotato/internal/mesh"
 	"hotpotato/internal/rng"
 	"hotpotato/internal/sim"
@@ -23,10 +22,11 @@ import (
 // retries, otherwise the error surfaces from Step/Run.
 var ErrShardPanic = errors.New("shard: shard worker panicked")
 
-// defaultRecoveryCadence is how often RunCheckpointed captures an in-memory
-// rollback checkpoint when recovery is enabled but no periodic save cadence
-// was requested.
-const defaultRecoveryCadence = 256
+// recoveryCadence is how many steps may pass, with recovery enabled, before
+// Step captures a fresh in-memory rollback checkpoint. SaveCheckpoint
+// restarts the count, so a run saving at least this often captures nothing
+// extra.
+const recoveryCadence = 256
 
 // Options configures a sharded Engine. The simulation semantics (seed,
 // validation, livelock detection, step budget) are those of sim.Options;
@@ -49,8 +49,6 @@ type Options struct {
 	// rolling all shards back to the last coordinated checkpoint. 0 means a
 	// panic surfaces as an error immediately.
 	MaxRecoveries int
-	// MaxWallTime bounds the wall-clock duration of Run; 0 means no limit.
-	MaxWallTime time.Duration
 }
 
 // phase identifiers broadcast to the shard workers at each barrier.
@@ -152,12 +150,11 @@ type Engine struct {
 	totalHops        int64
 	maxNodeLoad      int
 	reroutes         int64
-	deadlineExceeded bool
 	recoveries       int
-
-	// StepHook, when set before running, is called after every completed
-	// step with the new time and live count (progress reporting).
-	StepHook func(t, live int)
+	// lastCK is the rollback point for shard panics (Options.MaxRecoveries
+	// > 0), captured sinceCapture steps ago.
+	lastCK       *Checkpoint
+	sinceCapture int
 
 	wg        *sync.WaitGroup
 	closeOnce sync.Once
@@ -704,7 +701,34 @@ func (s *shardState) sortActive() {
 // Step advances the simulation by one synchronous step: a route barrier, an
 // apply barrier (the halo exchange happens between the two — receivers read
 // their neighbors' egress buckets), then coordinator bookkeeping.
+//
+// With Options.MaxRecoveries, a step that fails with a crash-class error (a
+// shard or policy panic) rolls every shard back to the last coordinated
+// checkpoint instead — kept in memory, refreshed by SaveCheckpoint or at
+// least every recoveryCadence steps — and returns nil, so the run replays
+// from there. A validation error is deterministic and always surfaces.
 func (e *Engine) Step() error {
+	if e.opts.MaxRecoveries > 0 && (e.lastCK == nil || e.sinceCapture >= recoveryCadence) {
+		ck, err := e.Checkpoint()
+		if err != nil {
+			return err
+		}
+		e.lastCK, e.sinceCapture = ck, 0
+	}
+	err := e.step()
+	if err != nil && e.lastCK != nil && e.recoveries < e.opts.MaxRecoveries && recoverableErr(err) {
+		e.recoveries++
+		if rerr := e.loadCheckpoint(e.lastCK); rerr != nil {
+			return errors.Join(err, fmt.Errorf("shard: rollback failed: %w", rerr))
+		}
+		e.sinceCapture = 0
+		return nil
+	}
+	e.sinceCapture++
+	return err
+}
+
+func (e *Engine) step() error {
 	t := e.time
 	if e.injector != nil {
 		if err := e.inject(); err != nil {
@@ -734,9 +758,6 @@ func (e *Engine) Step() error {
 			e.maxNodeLoad = s.router.MaxNodeLoad
 		}
 		s.router.MaxNodeLoad = 0
-	}
-	if e.StepHook != nil {
-		e.StepHook(e.time, e.live)
 	}
 	if e.livelockable && e.live > 0 {
 		h := e.stateHash()
@@ -784,9 +805,9 @@ func (e *Engine) stateHash() uint64 {
 // parity contract. Valid between steps.
 func (e *Engine) StateHash() uint64 { return e.stateHash() }
 
-// runnable reports whether the run has work left: packets in flight or an
+// Runnable reports whether the run has work left: packets in flight or an
 // injector still producing, no livelock, and step budget remaining.
-func (e *Engine) runnable() bool {
+func (e *Engine) Runnable() bool {
 	return (e.live > 0 || (e.injector != nil && !e.injector.Exhausted(e.time))) &&
 		!e.livelock && e.time < e.opts.MaxSteps
 }
@@ -796,110 +817,22 @@ func (e *Engine) runnable() bool {
 // is sim's: a sharded run summarizes identically to a single-shard one.
 func (e *Engine) Run() (*sim.Result, error) { return e.RunContext(context.Background()) }
 
-// RunContext is Run with cancellation and deadline control, with the same
-// contract as sim.Engine.RunContext: a deadline (ctx or MaxWallTime) ends
-// the run after the step in flight with DeadlineExceeded set and a nil
-// error; cancellation returns the partial summary alongside ctx.Err().
+// RunContext is Run under ctx, with sim.Drive's stop contract.
 func (e *Engine) RunContext(ctx context.Context) (*sim.Result, error) {
-	return e.RunCheckpointed(ctx, 0, nil)
+	return sim.Drive(ctx, e, sim.DriveOptions{})
 }
 
-// RunCheckpointed is RunContext with periodic coordinated checkpoints: when
-// every > 0 and save is non-nil, save receives a fresh Checkpoint after
-// each `every` completed steps and once more if the run stops early with
-// unsaved progress. Checkpoints are captured at step barriers, so they are
-// globally consistent; Options.MaxRecoveries additionally uses the most
-// recent one (kept in memory, captured on a default cadence if no save
-// cadence was given) to roll every shard back and retry when a shard
-// panics mid-run.
-func (e *Engine) RunCheckpointed(ctx context.Context, every int, save func(*Checkpoint) error) (*sim.Result, error) {
-	var stop atomic.Bool
-	if e.opts.MaxWallTime > 0 {
-		timer := time.AfterFunc(e.opts.MaxWallTime, func() { stop.Store(true) })
-		defer timer.Stop()
+// SaveCheckpoint captures a coordinated checkpoint and writes it to dir
+// with SaveDir. With recovery enabled it also becomes the rollback point.
+func (e *Engine) SaveCheckpoint(dir string, format checkpoint.Format) error {
+	ck, err := e.Checkpoint()
+	if err != nil {
+		return err
 	}
-	if done := ctx.Done(); done != nil {
-		quit := make(chan struct{})
-		defer close(quit)
-		go func() {
-			select {
-			case <-done:
-				stop.Store(true)
-			case <-quit:
-			}
-		}()
+	if e.opts.MaxRecoveries > 0 {
+		e.lastCK, e.sinceCapture = ck, 0
 	}
-
-	recoverable := e.opts.MaxRecoveries > 0
-	cadence := every
-	if cadence <= 0 && recoverable {
-		cadence = defaultRecoveryCadence
-	}
-	var lastCK *Checkpoint
-	if recoverable {
-		ck, err := e.Checkpoint()
-		if err != nil {
-			return nil, err
-		}
-		lastCK = ck
-	}
-	// sinceCapture paces in-memory rollback captures; sinceDisk tracks steps
-	// not yet committed by save, so the early-stop flush below never writes
-	// a checkpoint identical to the last periodic one and never skips one.
-	sinceCapture, sinceDisk := 0, 0
-	for e.runnable() && !stop.Load() {
-		if err := e.Step(); err != nil {
-			if recoverable && e.recoveries < e.opts.MaxRecoveries && recoverableErr(err) && lastCK != nil {
-				e.recoveries++
-				if rerr := e.loadCheckpoint(lastCK); rerr != nil {
-					return nil, errors.Join(err, fmt.Errorf("shard: rollback failed: %w", rerr))
-				}
-				// sinceDisk is left alone: the disk state did not move, and
-				// replayed steps re-increment it (overcounting at worst
-				// causes one redundant flush, never a missed one).
-				sinceCapture = 0
-				continue
-			}
-			return nil, err
-		}
-		sinceCapture++
-		sinceDisk++
-		if cadence > 0 && sinceCapture >= cadence {
-			ck, err := e.Checkpoint()
-			if err != nil {
-				return nil, err
-			}
-			if recoverable {
-				lastCK = ck
-			}
-			if save != nil && every > 0 {
-				if err := save(ck); err != nil {
-					return nil, fmt.Errorf("shard: checkpoint save: %w", err)
-				}
-				sinceDisk = 0
-			}
-			sinceCapture = 0
-		}
-	}
-
-	var runErr error
-	if e.runnable() { // stopped early: resolve the cause
-		if err := ctx.Err(); errors.Is(err, context.Canceled) {
-			runErr = err
-		} else {
-			e.deadlineExceeded = true
-		}
-		if save != nil && sinceDisk > 0 {
-			ck, err := e.Checkpoint()
-			if err != nil {
-				return nil, err
-			}
-			if err := save(ck); err != nil {
-				return nil, fmt.Errorf("shard: checkpoint save: %w", err)
-			}
-		}
-	}
-	return e.result(), runErr
+	return SaveDir(dir, ck, format)
 }
 
 // recoverableErr reports whether a step error is a crash-class failure —
@@ -910,17 +843,17 @@ func recoverableErr(err error) bool {
 	return errors.Is(err, ErrShardPanic) || errors.Is(err, sim.ErrPolicyPanic)
 }
 
-func (e *Engine) result() *sim.Result {
+// Result summarizes the run so far.
+func (e *Engine) Result() *sim.Result {
 	return &sim.Result{
 		Steps:            e.lastArrival,
 		Delivered:        len(e.packets) - e.live,
 		Total:            len(e.packets),
 		Livelocked:       e.livelock,
-		HitMaxSteps:      e.live > 0 && !e.livelock && !e.deadlineExceeded && e.time >= e.opts.MaxSteps,
+		HitMaxSteps:      e.live > 0 && !e.livelock && e.time >= e.opts.MaxSteps,
 		TotalDeflections: e.totalDeflections,
 		TotalHops:        e.totalHops,
 		MaxNodeLoad:      e.maxNodeLoad,
 		Reroutes:         e.reroutes,
-		DeadlineExceeded: e.deadlineExceeded,
 	}
 }

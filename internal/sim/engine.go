@@ -17,8 +17,6 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
-	"sync/atomic"
-	"time"
 
 	"hotpotato/internal/mesh"
 	"hotpotato/internal/rng"
@@ -128,13 +126,6 @@ type Options struct {
 	// of the same policy; deterministic policies produce identical results
 	// on every path).
 	Workers int
-	// MaxWallTime bounds the wall-clock duration of Run; 0 means no limit.
-	// It is unified with any RunContext deadline into a single stop flag
-	// checked between steps: the step in flight finishes and the cutoff is
-	// reported in Result.DeadlineExceeded. A wall-clock bound is inherently
-	// not reproducible across machines; use MaxSteps for deterministic
-	// budgets and this as the safety valve around them.
-	MaxWallTime time.Duration
 }
 
 // ClonablePolicy is implemented by policies whose per-engine scratch state
@@ -194,8 +185,8 @@ type Result struct {
 	// arc (all its geometrically good arcs were down), so every available
 	// move was a forced, fault-induced deflection.
 	Reroutes int64
-	// DeadlineExceeded reports that Options.MaxWallTime or the RunContext
-	// deadline (whichever fired first) cut the run short.
+	// DeadlineExceeded reports that the run's context deadline cut it short
+	// (see Drive).
 	DeadlineExceeded bool
 }
 
@@ -258,8 +249,6 @@ type Engine struct {
 	dropUnreachable int
 	dropStranded    int
 	dropInject      int
-
-	deadlineExceeded bool
 
 	// Reusable routing scratch: one for the serial path, one per pool
 	// worker when Options.Workers > 1.
@@ -940,110 +929,34 @@ func (e *Engine) stateHash() uint64 {
 	return h
 }
 
-// runnable reports whether the run has work left: packets in flight or an
+// Runnable reports whether the run has work left: packets in flight or an
 // injector still producing, no livelock, and step budget remaining.
-func (e *Engine) runnable() bool {
+func (e *Engine) Runnable() bool {
 	return (e.live > 0 || (e.injector != nil && !e.injector.Exhausted(e.time))) &&
 		!e.livelock && e.time < e.opts.MaxSteps
 }
 
 // Run steps the engine until every packet arrives (or is removed by fault
-// degradation), a livelock is detected, the step budget is exhausted, or
-// the wall-clock deadline passes, and returns the summary.
+// degradation), a livelock is detected, or the step budget is exhausted,
+// and returns the summary.
 func (e *Engine) Run() (*Result, error) { return e.RunContext(context.Background()) }
 
-// RunContext is Run with cancellation and deadline control. The ctx
-// deadline and Options.MaxWallTime are unified into one stop signal
-// (whichever fires first), checked with a single atomic load per step
-// instead of a time.Now() call, so the two mechanisms can never disagree:
-// either way the step in flight finishes and the summary reports
-// DeadlineExceeded with a nil error, exactly like MaxWallTime always has.
-//
-// Cancellation (ctx.Done with context.Canceled) also finishes the step in
-// flight, but returns the partial summary alongside ctx.Err() so callers
-// can tell an interrupted run from an exhausted one. The engine stays
-// valid either way: callers may Snapshot it or resume stepping.
+// RunContext is Run under ctx, with Drive's stop contract: a deadline sets
+// Result.DeadlineExceeded with a nil error, cancellation returns the
+// partial summary alongside ctx.Err(), and the engine stays valid either
+// way (callers may Snapshot it or resume stepping).
 func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
-	return e.RunCheckpointed(ctx, 0, nil)
+	return Drive(ctx, e, DriveOptions{})
 }
 
-// RunCheckpointed is RunContext with periodic state capture: when every > 0
-// and save is non-nil, save receives a fresh Snapshot after each `every`
-// completed steps, and — regardless of `every` — once more when the run is
-// stopped early by cancellation or deadline with unsaved progress, so a
-// resumed run loses nothing. A save error aborts the run.
-func (e *Engine) RunCheckpointed(ctx context.Context, every int, save func(*Snapshot) error) (*Result, error) {
-	// One atomic flag carries every stop source. MaxWallTime arms a timer
-	// (no goroutine while waiting); a cancellable ctx gets a watcher
-	// goroutine released on return. The hot loop pays one atomic load per
-	// step for both.
-	var stop atomic.Bool
-	if e.opts.MaxWallTime > 0 {
-		timer := time.AfterFunc(e.opts.MaxWallTime, func() { stop.Store(true) })
-		defer timer.Stop()
-	}
-	if done := ctx.Done(); done != nil {
-		quit := make(chan struct{})
-		defer close(quit)
-		go func() {
-			select {
-			case <-done:
-				stop.Store(true)
-			case <-quit:
-			}
-		}()
-	}
-
-	sinceSave := 0
-	for e.runnable() && !stop.Load() {
-		if err := e.Step(); err != nil {
-			return nil, err
-		}
-		sinceSave++
-		if every > 0 && save != nil && sinceSave >= every {
-			if err := e.saveSnapshot(save); err != nil {
-				return nil, err
-			}
-			sinceSave = 0
-		}
-	}
-
-	var runErr error
-	if e.runnable() { // stopped early: resolve the cause
-		if err := ctx.Err(); errors.Is(err, context.Canceled) {
-			runErr = err
-		} else {
-			// Our MaxWallTime timer or the ctx deadline — unified.
-			e.deadlineExceeded = true
-		}
-		if save != nil && sinceSave > 0 {
-			if err := e.saveSnapshot(save); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return e.result(), runErr
-}
-
-// saveSnapshot captures the engine state and hands it to the callback.
-func (e *Engine) saveSnapshot(save func(*Snapshot) error) error {
-	s, err := e.Snapshot()
-	if err != nil {
-		return err
-	}
-	if err := save(s); err != nil {
-		return fmt.Errorf("sim: checkpoint save: %w", err)
-	}
-	return nil
-}
-
-func (e *Engine) result() *Result {
+// Result summarizes the run so far.
+func (e *Engine) Result() *Result {
 	r := &Result{
 		Steps:            e.lastArrival,
 		Delivered:        len(e.packets) - e.live - e.dropped - e.absorbed,
 		Total:            len(e.packets),
 		Livelocked:       e.livelock,
-		HitMaxSteps:      e.live > 0 && !e.livelock && !e.deadlineExceeded && e.time >= e.opts.MaxSteps,
+		HitMaxSteps:      e.live > 0 && !e.livelock && e.time >= e.opts.MaxSteps,
 		TotalDeflections: e.totalDeflections,
 		TotalHops:        e.totalHops,
 		MaxNodeLoad:      e.maxNodeLoad,
@@ -1055,7 +968,6 @@ func (e *Engine) result() *Result {
 		DroppedStranded:    e.dropStranded,
 		DroppedInject:      e.dropInject,
 		Reroutes:           e.reroutes,
-		DeadlineExceeded:   e.deadlineExceeded,
 	}
 	if e.overlay != nil {
 		r.LinkFailures = e.overlay.LinkFailures()

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -56,8 +57,8 @@ func TestPolicyPanicSurfacesAsErrorParallel(t *testing.T) {
 	}
 }
 
-// TestMaxWallTime: a run that would spin to a huge step budget stops at the
-// wall-clock deadline and reports it.
+// TestMaxWallTime: a run that would spin to a huge step budget stops at its
+// context's wall-clock deadline and reports it.
 func TestMaxWallTime(t *testing.T) {
 	m := mesh.MustNew(1, 4)
 	// The swap fixture loops forever; without livelock detection only the
@@ -76,14 +77,15 @@ func TestMaxWallTime(t *testing.T) {
 		},
 	}
 	e, err := New(m, pol, []*Packet{NewPacket(0, 1, 0), NewPacket(1, 2, 3)}, Options{
-		MaxSteps:    1 << 30,
-		MaxWallTime: 30 * time.Millisecond,
+		MaxSteps: 1 << 30,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	res, err := e.Run()
+	res, err := e.RunContext(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,13 +104,13 @@ func TestMaxWallTime(t *testing.T) {
 // must not report it.
 func TestMaxWallTimeNotSetOnFastRun(t *testing.T) {
 	m := mesh.MustNew(2, 4)
-	e, err := New(m, firstGoodPolicy(), []*Packet{NewPacket(0, 0, 5)}, Options{
-		MaxWallTime: time.Minute,
-	})
+	e, err := New(m, firstGoodPolicy(), []*Packet{NewPacket(0, 0, 5)}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	res, err := e.RunContext(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

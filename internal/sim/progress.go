@@ -41,33 +41,3 @@ func (e *Engine) Progress() Progress {
 		MaxNodeLoad:      e.maxNodeLoad,
 	}
 }
-
-// ProgressSampler is an Observer that reports engine progress every Every
-// steps (an "epoch"). Sampled times are strictly increasing; the final
-// step of a run is only reported if it falls on the epoch boundary, so
-// frontends that need a closing record should emit Engine.Progress()
-// themselves after Run returns.
-type ProgressSampler struct {
-	engine *Engine
-	every  int
-	fn     func(Progress)
-	since  int
-}
-
-// NewProgressSampler returns a sampler invoking fn with e.Progress() after
-// every `every`-th step. every < 1 is treated as 1 (every step).
-func NewProgressSampler(e *Engine, every int, fn func(Progress)) *ProgressSampler {
-	if every < 1 {
-		every = 1
-	}
-	return &ProgressSampler{engine: e, every: every, fn: fn}
-}
-
-// OnStep implements Observer.
-func (s *ProgressSampler) OnStep(*StepRecord) {
-	s.since++
-	if s.since >= s.every {
-		s.since = 0
-		s.fn(s.engine.Progress())
-	}
-}

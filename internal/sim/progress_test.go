@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -24,9 +25,14 @@ func TestProgressSampler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Epoch sampling as the service does it: every third step's progress,
+	// through the driver's per-step callback.
 	var samples []Progress
-	e.AddObserver(NewProgressSampler(e, 3, func(p Progress) { samples = append(samples, p) }))
-	res, err := e.Run()
+	res, err := Drive(context.Background(), e, DriveOptions{OnStep: func(p Progress) {
+		if p.Time%3 == 0 {
+			samples = append(samples, p)
+		}
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,13 +3,17 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"io"
+	"os"
 
+	"hotpotato/internal/checkpoint"
 	"hotpotato/internal/mesh"
 )
 
-// SnapshotVersion is the schema version of the Snapshot structure. Codecs
-// (internal/checkpoint) persist it and refuse snapshots from a future
-// schema; bump it whenever a field is added, removed or reinterpreted.
+// SnapshotVersion is the schema version of the Snapshot structure.
+// Checkpoint files persist it and ReadSnapshot refuses snapshots from a
+// future schema; bump it whenever a field is added, removed or
+// reinterpreted.
 const SnapshotVersion = 1
 
 // ErrBadSnapshot is returned by Restore when a snapshot cannot be applied
@@ -136,6 +140,43 @@ type CheckpointableInjector interface {
 // two engines are in bit-identical routing states (checkpoint parity
 // tests, resume verification). Valid between steps.
 func (e *Engine) StateHash() uint64 { return e.stateHash() }
+
+// SaveCheckpoint captures the engine state and writes it atomically to path
+// as an HPCK checkpoint file (see internal/checkpoint). Valid between steps.
+func (e *Engine) SaveCheckpoint(path string, format checkpoint.Format) error {
+	s, err := e.Snapshot()
+	if err != nil {
+		return err
+	}
+	return checkpoint.SaveValue(path, s, format)
+}
+
+// ReadSnapshot decodes an engine snapshot from an HPCK checkpoint stream
+// (either format), additionally enforcing the snapshot's schema version.
+func ReadSnapshot(r io.Reader) (*Snapshot, error) {
+	s := &Snapshot{}
+	if err := checkpoint.ReadValue(r, s); err != nil {
+		return nil, err
+	}
+	if s.Version > SnapshotVersion {
+		return nil, fmt.Errorf("%w: snapshot schema v%d, this build reads up to v%d", checkpoint.ErrBadFile, s.Version, SnapshotVersion)
+	}
+	return s, nil
+}
+
+// LoadSnapshot reads a checkpoint file written by SaveCheckpoint.
+func LoadSnapshot(path string) (*Snapshot, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
+	}
+	defer f.Close()
+	s, err := ReadSnapshot(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return s, nil
+}
 
 // Snapshot captures the complete between-steps state of the engine. It must
 // not be called while a Step is in flight; the engine is unchanged. The

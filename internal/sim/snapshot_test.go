@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math/rand"
+	"path/filepath"
 	"slices"
 	"testing"
 	"time"
@@ -381,8 +382,8 @@ func TestRunContextCancel(t *testing.T) {
 	}
 }
 
-// TestRunContextDeadline: a ctx deadline behaves exactly like MaxWallTime —
-// DeadlineExceeded set, nil error — so the two mechanisms agree.
+// TestRunContextDeadline: a ctx deadline is the wall-clock budget —
+// DeadlineExceeded set, nil error.
 func TestRunContextDeadline(t *testing.T) {
 	e := swapForeverEngine(t, Options{MaxSteps: 1 << 30})
 	ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
@@ -399,14 +400,22 @@ func TestRunContextDeadline(t *testing.T) {
 	}
 }
 
-// TestRunCheckpointed: the save callback fires every N steps and once more
-// on an early stop with unsaved progress.
+// TestRunCheckpointed: Drive saves every N steps and once more on an early
+// stop with unsaved progress.
 func TestRunCheckpointed(t *testing.T) {
 	e := swapForeverEngine(t, Options{MaxSteps: 100})
+	path := filepath.Join(t.TempDir(), "run.hpck")
 	var snaps []*Snapshot
-	res, err := e.RunCheckpointed(context.Background(), 30, func(s *Snapshot) error {
-		snaps = append(snaps, s)
-		return nil
+	res, err := Drive(context.Background(), e, DriveOptions{
+		Checkpoint: path,
+		Every:      30,
+		OnStep: func(p Progress) {
+			// A save lands before OnStep of its step; a new file time marks it.
+			s, err := LoadSnapshot(path)
+			if err == nil && (len(snaps) == 0 || snaps[len(snaps)-1].Time != s.Time) {
+				snaps = append(snaps, s)
+			}
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -415,7 +424,7 @@ func TestRunCheckpointed(t *testing.T) {
 		t.Fatalf("expected step-budget exhaustion: %+v", res)
 	}
 	if len(snaps) != 3 {
-		t.Fatalf("save called %d times over 100 steps with every=30, want 3", len(snaps))
+		t.Fatalf("saved %d times over 100 steps with every=30, want 3", len(snaps))
 	}
 	for i, s := range snaps {
 		if want := 30 * (i + 1); s.Time != want {
@@ -426,21 +435,25 @@ func TestRunCheckpointed(t *testing.T) {
 	// Early cancellation with progress since the last periodic save → one
 	// final save at the stop point.
 	e2 := swapForeverEngine(t, Options{MaxSteps: 1 << 30})
+	path2 := filepath.Join(t.TempDir(), "cancel.hpck")
 	ctx, cancel := context.WithCancel(context.Background())
-	var last *Snapshot
-	count := 0
-	_, err = e2.RunCheckpointed(ctx, 1000, func(s *Snapshot) error {
-		last = s
-		count++
-		cancel() // first save (or the exit save) also triggers the stop
-		return nil
+	_, err = Drive(ctx, e2, DriveOptions{
+		Checkpoint: path2,
+		Every:      1000,
+		OnStep: func(p Progress) {
+			if p.Time == 7 {
+				cancel()
+			}
+		},
 	})
-	// The run is cancelled by the save callback itself; either the periodic
-	// save at step 1000 or — since cancel comes from within — the exit save.
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if last == nil || last.Time == 0 {
-		t.Fatalf("no usable checkpoint captured on cancellation (count=%d)", count)
+	last, err := LoadSnapshot(path2)
+	if err != nil {
+		t.Fatalf("no usable checkpoint captured on cancellation: %v", err)
+	}
+	if last.Time == 0 || last.Time != e2.Time() {
+		t.Fatalf("final save at step %d, engine stopped at %d", last.Time, e2.Time())
 	}
 }
