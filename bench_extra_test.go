@@ -288,3 +288,41 @@ func BenchmarkParallelWorkers(b *testing.B) {
 		})
 	}
 }
+
+// injectHost is a stub InjectorHost for timing a traffic source alone: every
+// node always has its full out-degree of injection room, so each step's
+// arrivals drain at once and the cost measured is the source's own.
+type injectHost struct {
+	m      *mesh.Mesh
+	nextID int
+}
+
+func (h *injectHost) Mesh() *mesh.Mesh                    { return h.m }
+func (h *injectHost) InjectionCapacity(n mesh.NodeID) int { return h.m.Degree(n) }
+func (h *injectHost) NextPacketID() int                   { h.nextID++; return h.nextID - 1 }
+
+// BenchmarkSourceInjectSparse512 times one step of Source.Inject for a
+// never-ending Poisson(1e-4) source on a 512x512 mesh (~26 arrivals per
+// step among 262,144 nodes): the traffic layer of the sparse open-system
+// regime, without routing. The first call, which draws every node's first
+// epoch, runs before the timer.
+func BenchmarkSourceInjectSparse512(b *testing.B) {
+	m := mesh.MustNew(2, 512)
+	g, err := traffic.NewPoisson(1e-4, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src, err := traffic.NewSource(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	host := &injectHost{m: m}
+	rng := rand.New(rand.NewSource(1))
+	src.Inject(0, host, rng)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src.Inject(i+1, host, rng)
+	}
+	b.ReportMetric(float64(src.Injected())/float64(b.N+1), "pkts/step")
+}

@@ -29,6 +29,7 @@ import (
 	"hotpotato/internal/engine"
 	"hotpotato/internal/mesh"
 	"hotpotato/internal/policylab"
+	"hotpotato/internal/profiling"
 	"hotpotato/internal/shard"
 	"hotpotato/internal/sim"
 	"hotpotato/internal/spec"
@@ -259,6 +260,8 @@ func runCtx(ctx context.Context, args []string) error {
 		ckptFormat = fs.String("checkpoint-format", "binary", "checkpoint encoding: binary or json")
 		resume     = fs.Bool("resume", false, "restore state from -checkpoint before running (pass the same flags as the original run)")
 		showVer    = fs.Bool("version", false, "print the build version and exit")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProfile = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -267,6 +270,17 @@ func runCtx(ctx context.Context, args []string) error {
 	if *showVer {
 		fmt.Println(version.String("hotpotato"))
 		return nil
+	}
+	if *cpuProfile != "" || *memProfile != "" {
+		stopProf, err := profiling.Start(*cpuProfile, *memProfile)
+		if err != nil {
+			return err
+		}
+		defer func() {
+			if err := stopProf(); err != nil {
+				fmt.Fprintln(os.Stderr, "hotpotato:", err)
+			}
+		}()
 	}
 	if *listWl {
 		listWorkloads()

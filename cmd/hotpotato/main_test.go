@@ -320,6 +320,24 @@ func TestRunArrivals(t *testing.T) {
 	}
 }
 
+// TestRunProfiles: -cpuprofile and -memprofile write both profiles for an
+// arrivals run.
+func TestRunProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	if _, err := capture(t, func() error {
+		return run([]string{"-n", "8", "-workload", "none", "-arrivals", "poisson:rate=0.05,until=40",
+			"-seed", "3", "-cpuprofile", cpu, "-memprofile", mem})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{cpu, mem} {
+		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+			t.Errorf("profile %s not written (err %v)", p, err)
+		}
+	}
+}
+
 // TestRunParameterizedWorkload: the name:key=val,... syntax reaches the
 // generator (and bad values die with the spec error format).
 func TestRunParameterizedWorkload(t *testing.T) {

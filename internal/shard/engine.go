@@ -78,6 +78,10 @@ type shardState struct {
 	byLocal    [][]*sim.Packet
 	active     []int32 // local ids of non-empty queues, sorted between steps
 	activeMark []bool
+	// sorted is the length of active's sorted prefix when injection began;
+	// mergeBuf is sim.MergeTail's scratch for merging the injected tail.
+	sorted   int
+	mergeBuf []int32
 
 	// Halo mailboxes. internal stages this shard's own moves; egress[b]
 	// stages moves leaving toward receiver shard recvShard[b]. recvOf maps
@@ -441,8 +445,10 @@ var _ sim.InjectorHost = (*Engine)(nil)
 // may touch shard queues freely.
 func (e *Engine) inject() error {
 	floor := e.nextID
+	for _, s := range e.shards {
+		s.sorted = len(s.active)
+	}
 	newPackets := e.injector.Inject(e.time, e, e.injRng)
-	touched := false
 	for _, p := range newPackets {
 		if p == nil {
 			return fmt.Errorf("%w: injector returned nil packet at step %d", sim.ErrBadInjection, e.time)
@@ -481,12 +487,9 @@ func (e *Engine) inject() error {
 		}
 		s.enqueue(p)
 		e.live++
-		touched = true
 	}
-	if touched {
-		for _, s := range e.shards {
-			s.sortActive()
-		}
+	for _, s := range e.shards {
+		s.mergeBuf = sim.MergeTail(s.active, s.sorted, s.mergeBuf)
 	}
 	return nil
 }

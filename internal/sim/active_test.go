@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hotpotato/internal/mesh"
@@ -183,5 +184,88 @@ func TestSortActiveAfterInjection(t *testing.T) {
 	}
 	if e.nextID == 0 {
 		t.Fatal("injector never injected")
+	}
+}
+
+// TestMergeActiveAfterInjection drives the injection-site merge directly:
+// onto an already-populated active list it injects new nodes before,
+// between and after the existing ones, in scrambled order, plus packets
+// onto nodes that are already active. Right after inject — before routing
+// re-sorts anything — the list must be strictly increasing and agree with
+// activeMark and the queues.
+func TestMergeActiveAfterInjection(t *testing.T) {
+	m := mesh.MustNew(2, 8)
+	var pkts []*Packet
+	for i, n := range []mesh.NodeID{10, 20, 30, 40} {
+		pkts = append(pkts, NewPacket(i, n, n+3))
+	}
+	e, err := New(m, firstGoodPolicy(), pkts, Options{Validation: ValidateBasic, Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var burst []*Packet
+	for _, n := range []mesh.NodeID{63, 25, 5, 20, 35, 0, 10, 41, 39} {
+		burst = append(burst, NewPacket(len(pkts)+len(burst), n, (n+9)%mesh.NodeID(m.Size())))
+	}
+	e.SetInjector(&scriptInjector{at: map[int][]*Packet{0: burst}})
+	if err := e.inject(); err != nil {
+		t.Fatal(err)
+	}
+	checkActiveInvariants(t, e)
+	want := []mesh.NodeID{0, 5, 10, 20, 25, 30, 35, 39, 40, 41, 63}
+	if !slices.Equal(e.active, want) {
+		t.Fatalf("active after injection = %v, want %v", e.active, want)
+	}
+
+	// The same shapes every step of a run, against whatever the moves left:
+	// inject, check, then route and apply without injecting again.
+	e, err = New(m, firstGoodPolicy(), nil, Options{Validation: ValidateBasic, Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := &burstInjector{last: 40, per: 8}
+	e.SetInjector(inj)
+	for e.time <= inj.last {
+		if err := e.inject(); err != nil {
+			t.Fatalf("step %d: %v", e.time, err)
+		}
+		checkActiveInvariants(t, e)
+		e.injector = nil
+		if err := e.Step(); err != nil {
+			t.Fatalf("step %d: %v", e.time, err)
+		}
+		e.injector = inj
+	}
+}
+
+// TestMergeTail checks the merge against a full sort on random lists: a
+// sorted prefix plus a scrambled tail of distinct new elements, including
+// empty prefixes and tails and tails entirely before or after the prefix.
+func TestMergeTail(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	var buf []int32
+	for trial := 0; trial < 500; trial++ {
+		universe := rng.Perm(40 + rng.Intn(40))
+		n := rng.Intn(len(universe) / 2)
+		tail := rng.Intn(len(universe) - n)
+		switch trial % 4 {
+		case 1: // tail entirely after the prefix
+			slices.Sort(universe)
+		case 2: // tail entirely before the prefix
+			slices.Sort(universe)
+			slices.Reverse(universe)
+		}
+		a := make([]int32, n+tail)
+		for i := range a {
+			a[i] = int32(universe[i])
+		}
+		slices.Sort(a[:n])
+		rng.Shuffle(tail, func(i, j int) { a[n+i], a[n+j] = a[n+j], a[n+i] })
+		want := slices.Clone(a)
+		slices.Sort(want)
+		buf = MergeTail(a, n, buf)
+		if !slices.Equal(a, want) {
+			t.Fatalf("trial %d (prefix %d, tail %d): got %v, want %v", trial, n, tail, a, want)
+		}
 	}
 }

@@ -11,6 +11,7 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -211,6 +212,7 @@ type Engine struct {
 	byNode      [][]*Packet
 	active      []mesh.NodeID
 	activeMark  []bool
+	mergeBuf    []mesh.NodeID // MergeTail scratch for the injection site
 	observers   []Observer
 
 	// conflictObs is the opt-in conflict tap (SetConflictObserver); confRec
@@ -387,8 +389,9 @@ func (e *Engine) enqueue(p *Packet) {
 }
 
 // sortActive restores the sorted order of the active list after a step's
-// move application (or after injection) perturbed it. For dense active sets
-// the list is rebuilt by a single ordered scan of the activeMark bitmap —
+// move application (or a construction or restore) rebuilt it in arbitrary
+// order; injection merges instead (MergeTail). For dense active sets the
+// list is rebuilt by a single ordered scan of the activeMark bitmap —
 // an int-keyed counting pass with no comparisons at all; sparse sets fall
 // back to slices.Sort. Both paths are allocation-free.
 func (e *Engine) sortActive() {
@@ -407,6 +410,37 @@ func (e *Engine) sortActive() {
 		return
 	}
 	slices.Sort(a)
+}
+
+// MergeTail restores the ascending order of a list whose prefix a[:n] is
+// already sorted and whose tail a[n:] holds newly added elements, distinct
+// from the prefix and from each other, in any order. Only the tail is
+// sorted; it is then merged into the prefix from the back, so a step that
+// activates m nodes on a list of n costs O(m log m) plus the shifted
+// elements instead of a full re-sort. buf is reusable scratch and is
+// returned, possibly grown. Both engines use it at their injection site;
+// traffic.Source uses it for its waiting list.
+func MergeTail[T cmp.Ordered](a []T, n int, buf []T) []T {
+	tail := a[n:]
+	if len(tail) == 0 {
+		return buf
+	}
+	slices.Sort(tail)
+	if n == 0 || a[n-1] < tail[0] {
+		return buf
+	}
+	buf = append(buf[:0], tail...)
+	i, j := n-1, len(buf)-1
+	for k := len(a) - 1; j >= 0; k-- {
+		if i >= 0 && a[i] > buf[j] {
+			a[k] = a[i]
+			i--
+		} else {
+			a[k] = buf[j]
+			j--
+		}
+	}
+	return buf
 }
 
 // AddObserver registers an observer to run after every step.
@@ -453,6 +487,7 @@ func (e *Engine) inject() error {
 	// injector drew from NextPacketID during this call sit between floor and
 	// the advanced e.nextID and are fresh by construction.
 	floor := e.nextID
+	sorted := len(e.active) // the active list is sorted up to here
 	newPackets := e.injector.Inject(e.time, e, e.rng)
 	for _, p := range newPackets {
 		if p == nil {
@@ -508,9 +543,7 @@ func (e *Engine) inject() error {
 		e.enqueue(p)
 		e.live++
 	}
-	if len(newPackets) > 0 {
-		e.sortActive()
-	}
+	e.mergeBuf = MergeTail(e.active, sorted, e.mergeBuf)
 	return nil
 }
 

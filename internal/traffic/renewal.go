@@ -1,10 +1,12 @@
 package traffic
 
 import (
+	"container/heap"
 	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"hotpotato/internal/mesh"
 )
@@ -51,6 +53,14 @@ type Renewal struct {
 
 	scale float64   // precomputed distribution scale for the mean-1/rate normalization
 	next  []float64 // per-node next arrival epoch, lazily sized to the mesh
+
+	// cal is the event calendar over next: the nodes whose next epoch can
+	// still fall inside the window, keyed by next. next stays the
+	// source of truth (it is what snapshots carry); cal is rebuilt from it
+	// whenever calOK is false — on the first Generate and after a restore.
+	cal   calendar
+	calOK bool
+	due   []mesh.NodeID // scratch: the nodes popped this step
 }
 
 var _ StatefulGenerator = (*Renewal)(nil)
@@ -135,7 +145,10 @@ func sampleGamma(rng *rand.Rand, shape float64) float64 {
 }
 
 // Generate implements Generator: every node emits one packet per renewal
-// epoch that falls inside [t, t+1), in node order.
+// epoch that falls inside [t, t+1), in node order. Only the nodes due this
+// step are visited: they are popped off the calendar, sorted by node id and
+// run through the per-node loop (destination, then next gap, per arrival),
+// which is exactly the draw order of a scan over every node.
 func (g *Renewal) Generate(t int, m *mesh.Mesh, rng *rand.Rand, out []Gen) []Gen {
 	if g.next == nil {
 		g.next = make([]float64, m.Size())
@@ -146,14 +159,45 @@ func (g *Renewal) Generate(t int, m *mesh.Mesh, rng *rand.Rand, out []Gen) []Gen
 	if g.Until > 0 && t >= g.Until {
 		return out
 	}
+	if !g.calOK {
+		g.schedule(m)
+	}
 	limit := float64(t) + 1
-	for node := mesh.NodeID(0); int(node) < m.Size(); node++ {
+	g.due = g.due[:0]
+	for len(g.cal) > 0 && g.cal[0].at < limit {
+		g.due = append(g.due, heap.Pop(&g.cal).(arrival).node)
+	}
+	slices.Sort(g.due)
+	for _, node := range g.due {
 		for g.next[node] < limit {
 			out = append(out, Gen{Src: node, Dst: drawDest(g.Dest, node, m, rng), Class: g.Class})
 			g.next[node] += g.sample(rng)
 		}
+		if g.inWindow(g.next[node]) {
+			heap.Push(&g.cal, arrival{at: g.next[node], node: node})
+		}
+	}
+	if len(g.cal) == 0 {
+		g.cal = nil // the window is spent: free the calendar's backing array
 	}
 	return out
+}
+
+// inWindow reports whether an epoch can still be emitted: the last step
+// that generates is Until-1, whose window closes at Until.
+func (g *Renewal) inWindow(at float64) bool { return g.Until == 0 || at < float64(g.Until) }
+
+// schedule rebuilds the calendar from next. Nodes whose next epoch is at or
+// past Until never enter it, so it holds O(nodes due in the window).
+func (g *Renewal) schedule(m *mesh.Mesh) {
+	g.cal = g.cal[:0]
+	for node := mesh.NodeID(0); int(node) < m.Size(); node++ {
+		if at := g.next[node]; g.inWindow(at) {
+			g.cal = append(g.cal, arrival{at: at, node: node})
+		}
+	}
+	heap.Init(&g.cal)
+	g.calOK = true
 }
 
 // Done implements Generator.
@@ -178,5 +222,25 @@ func (g *Renewal) RestoreGenerator(data json.RawMessage) error {
 		}
 	}
 	g.next = st.Next
+	g.calOK = false
 	return nil
+}
+
+// arrival is one calendar entry: a node and its next arrival epoch.
+type arrival struct {
+	at   float64
+	node mesh.NodeID
+}
+
+// calendar is a container/heap min-heap of arrivals ordered by epoch.
+type calendar []arrival
+
+func (c calendar) Len() int           { return len(c) }
+func (c calendar) Less(i, j int) bool { return c[i].at < c[j].at }
+func (c calendar) Swap(i, j int)      { c[i], c[j] = c[j], c[i] }
+func (c *calendar) Push(x any)        { *c = append(*c, x.(arrival)) }
+func (c *calendar) Pop() any {
+	last := (*c)[len(*c)-1]
+	*c = (*c)[:len(*c)-1]
+	return last
 }

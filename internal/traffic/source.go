@@ -59,6 +59,12 @@ type Source struct {
 	gens    []Generator
 	backlog [][]pending
 	scratch []Gen
+	// waiting lists the nodes with a non-empty backlog, ascending; only
+	// they are drained, so a step costs O(arrivals + waiting nodes), not
+	// O(nodes). It is derived from backlog (rebuilt by RestoreState), never
+	// serialized. mergeBuf is sim.MergeTail's scratch.
+	waiting  []mesh.NodeID
+	mergeBuf []mesh.NodeID
 
 	generated  int
 	injected   int
@@ -106,18 +112,21 @@ func (s *Source) Inject(t int, host sim.InjectorHost, rng *rand.Rand) []*sim.Pac
 	for _, g := range s.gens {
 		s.scratch = g.Generate(t, m, rng, s.scratch)
 	}
+	sorted := len(s.waiting)
 	for _, gp := range s.scratch {
+		if len(s.backlog[gp.Src]) == 0 {
+			s.waiting = append(s.waiting, gp.Src)
+		}
 		s.backlog[gp.Src] = append(s.backlog[gp.Src], pending{dst: gp.Dst, generatedAt: t, class: gp.Class})
 		s.generated++
 		s.curBacklog++
 	}
+	s.mergeBuf = sim.MergeTail(s.waiting, sorted, s.mergeBuf)
 
 	var out []*sim.Packet
-	for node := mesh.NodeID(0); int(node) < m.Size(); node++ {
+	still := s.waiting[:0]
+	for _, node := range s.waiting {
 		q := s.backlog[node]
-		if len(q) == 0 {
-			continue
-		}
 		room := host.InjectionCapacity(node)
 		take := len(q)
 		if room < take {
@@ -135,7 +144,11 @@ func (s *Source) Inject(t int, host sim.InjectorHost, rng *rand.Rand) []*sim.Pac
 			}
 		}
 		s.backlog[node] = q[take:]
+		if take < len(q) {
+			still = append(still, node)
+		}
 	}
+	s.waiting = still
 	if s.curBacklog > s.maxBacklog {
 		s.maxBacklog = s.curBacklog
 	}
@@ -298,6 +311,12 @@ func (s *Source) RestoreState(data []byte) error {
 		return fmt.Errorf("traffic: backlog carries %d packets, state says %d", count, st.CurBacklog)
 	}
 	s.backlog = backlog
+	s.waiting = s.waiting[:0]
+	for node, q := range backlog {
+		if len(q) > 0 {
+			s.waiting = append(s.waiting, mesh.NodeID(node))
+		}
+	}
 	s.generated = st.Generated
 	s.injected = st.Injected
 	s.curBacklog = st.CurBacklog
